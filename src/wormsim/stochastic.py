@@ -22,6 +22,13 @@ independent Poisson increments.
 Randomness comes from numpy's counter-based Philox generator; run k of
 an ensemble uses key seed + k, making every run independently
 reproducible and the ensemble independent of execution order.
+
+Seeded patched runs stay bit-identical only while this draw contract
+holds: each event spends exactly two uniforms of the run's stream, the
+holding time and then the event, drawn in blocks of 16384 (even, so no
+pair straddles two blocks); the holding time is -math.log1p(-u) / total
+(array np.log1p differs in the last ulp on some inputs).  Python floats
+follow the same IEEE-754 double arithmetic as numpy float64 scalars.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .core import (
     ScenarioParams,
     Trajectory,
     TrajectorySource,
+    validate,
 )
 
 
@@ -82,30 +90,9 @@ def _grid(config: StochasticConfig) -> np.ndarray:
     return np.arange(n_pts) * config.sample_dt_itu
 
 
-class _UniformBuffer:
-    """Block-buffered uniforms; one Generator call per 2^14 draws."""
-
-    __slots__ = ("gen", "buf", "k")
-
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self.buf = gen.random(16384)
-        self.k = 0
-
-    def next(self) -> float:
-        if self.k == 16384:
-            self.buf = self.gen.random(16384)
-            self.k = 0
-        u = self.buf[self.k]
-        self.k += 1
-        return u
-
-
 def _infection_jumps(params: ScenarioParams, gen: np.random.Generator) -> np.ndarray:
     """Jump times of the undefended worm: I rises by 1 at each entry."""
     n, i0 = params.n_hosts, params.i0
-    if i0 == 0:
-        return np.empty(0)
     levels = np.arange(i0, n, dtype=float)
     rates = levels * (n - levels) / n
     return np.cumsum(gen.exponential(1.0, size=n - i0) / rates)
@@ -130,50 +117,55 @@ def _run_patched(params: ScenarioParams, gen, grid):
     s = n - params.i0 - pb
     i = params.i0
     p = pb
-    out_s = np.empty(len(grid))
-    out_i = np.empty(len(grid))
-    out_p = np.empty(len(grid))
+    n_pts = len(grid)
+    out_s = np.empty(n_pts)
+    out_i = np.empty(n_pts)
+    out_p = np.empty(n_pts)
+    grid = grid.tolist()
     gi = 0
+    next_grid = grid[0]
     t = 0.0
-    t_end = float(grid[-1])
-    buf = _UniformBuffer(gen)
+    log1p = math.log1p
     halt = None
     while True:
-        unpatched = s + i
-        rate_infect = s * i / n
-        if is_fixed:
-            rate_patch = g * (pb if unpatched >= pb else unpatched)
-        else:
-            rate_patch = g / n * unpatched * p
-        total = rate_infect + rate_patch
-        if total <= 0.0:
-            halt = t if t > 0.0 else None  # absorbed; state frozen
-            t_next = math.inf
-        else:
-            t_next = t + -math.log1p(-buf.next()) / total
-        while gi < len(grid) and grid[gi] < t_next:
-            out_s[gi] = s
-            out_i[gi] = i
-            out_p[gi] = p
-            gi += 1
-        if gi == len(grid) or t_next > t_end:
-            break
-        t = t_next
-        # One uniform picks the event and, for patches, the target:
-        # conditional on landing in the patch band, the offset is again
-        # uniform, so it reuses cleanly for the infected/susceptible split.
-        u = buf.next() * total
-        if u < rate_infect:
-            s -= 1
-            i += 1
-        else:
-            v = (u - rate_infect) / rate_patch * unpatched
-            if v < i:
-                i -= 1
+        draws = iter(gen.random(16384).tolist())
+        for u_hold, u_event in zip(draws, draws):
+            unpatched = s + i
+            rate_infect = s * i / n
+            if is_fixed:
+                rate_patch = g * (pb if unpatched >= pb else unpatched)
             else:
+                rate_patch = g / n * unpatched * p
+            total = rate_infect + rate_patch
+            if total <= 0.0:
+                halt = t if t > 0.0 else None  # absorbed; state frozen
+                t_next = math.inf
+            else:
+                t_next = t + -log1p(-u_hold) / total
+            if next_grid < t_next:
+                while gi < n_pts and grid[gi] < t_next:
+                    out_s[gi] = s
+                    out_i[gi] = i
+                    out_p[gi] = p
+                    gi += 1
+                if gi == n_pts:  # equivalently t_next > grid[-1]
+                    return out_s, out_i, out_p, halt, i == 0
+                next_grid = grid[gi]
+            t = t_next
+            # One uniform picks the event and, for patches, the target:
+            # conditional on landing in the patch band, the offset is again
+            # uniform, so it reuses cleanly for the infected/susceptible split.
+            u = u_event * total
+            if u < rate_infect:
                 s -= 1
-            p += 1
-    return out_s, out_i, out_p, halt, i == 0
+                i += 1
+            else:
+                v = (u - rate_infect) / rate_patch * unpatched
+                if v < i:
+                    i -= 1
+                else:
+                    s -= 1
+                p += 1
 
 
 def _run(params: ScenarioParams, run_key: int, grid: np.ndarray):
@@ -189,6 +181,7 @@ def simulate(params: ScenarioParams, config: StochasticConfig) -> Trajectory:
     Identical (params, config) always produce a bit-identical
     trajectory; the run is driven by Philox key config.seed.
     """
+    validate(params)
     validate_config(config)
     grid = _grid(config)
     s, i, p, halt, _ = _run(params, config.seed, grid)
@@ -206,6 +199,7 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
     zero before the horizon.  Results depend only on (params, config),
     never on the order runs complete.
     """
+    validate(params)
     validate_config(config)
     grid = _grid(config)
     acc = np.zeros((3, len(grid)))
@@ -238,6 +232,7 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
 # ---------------------------------------------------------------------------
 
 def _check_monitors(params: ScenarioParams, monitors: int) -> None:
+    validate(params)
     if params.defense is not DefenseKind.NO_PATCHING:
         raise ValueError("detection runs model the undefended worm only")
     if not isinstance(monitors, (int, np.integer)) or isinstance(monitors, bool):
@@ -283,8 +278,9 @@ def detection_sim(
         gen = _rng(config.seed + k)
         jumps = _infection_jumps(params, gen)
         target = gen.exponential(1.0)
-        jumps_in = jumps[jumps < t_end]
-        h_jumps = _hazard_at(jumps_in, jumps, params.i0, c)
+        # Jumps at or past the horizon never enter the hazard before it.
+        jumps_in = jumps[: np.searchsorted(jumps, t_end, side="left")]
+        h_jumps = _hazard_at(jumps_in, jumps_in, params.i0, c)
         j = int(np.searchsorted(h_jumps, target, side="right"))
         seg_start = 0.0 if j == 0 else float(jumps_in[j - 1])
         h_start = 0.0 if j == 0 else float(h_jumps[j - 1])
@@ -311,7 +307,8 @@ def monitor_scan_counts(
     for k in range(config.runs):
         gen = _rng(config.seed + k)
         jumps = _infection_jumps(params, gen)
-        hazard = _hazard_at(grid, jumps, params.i0, c)
+        jumps_in = jumps[: np.searchsorted(jumps, grid[-1], side="right")]
+        hazard = _hazard_at(grid, jumps_in, params.i0, c)
         hits = gen.poisson(np.diff(hazard))
         counts[k, 1:] = np.cumsum(hits)
     return grid, counts

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wormsim import fluid
-from wormsim.core import DefenseKind, ScenarioParams, TrajectorySource
+from wormsim import fluid, stochastic
+from wormsim.core import DefenseKind, ScenarioError, ScenarioParams, TrajectorySource
 from wormsim.stochastic import (
     StochasticConfig,
     detection_sim,
@@ -32,6 +32,24 @@ from wormsim.stochastic import (
 def test_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
         validate_config(StochasticConfig(**kwargs))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        simulate,
+        ensemble,
+        lambda params, cfg: detection_sim(params, 10, cfg),
+        lambda params, cfg: monitor_scan_counts(params, 10, cfg),
+    ],
+    ids=["simulate", "ensemble", "detection_sim", "monitor_scan_counts"],
+)
+def test_entry_points_validate_params(call):
+    params = ScenarioParams(
+        n_hosts=100, virulence=1.0, i0=101, defense=DefenseKind.NO_PATCHING
+    )
+    with pytest.raises(ScenarioError, match="i0 \\+ p_bar"):
+        call(params, StochasticConfig(t_end_itu=2.0, seed=0))
 
 
 # --- single runs --------------------------------------------------------
@@ -204,3 +222,188 @@ def test_scan_counts_match_expected_cumulative():
         k = int(round(t_check / 0.05))
         expected = expected_scans(grid[k], params, 100)
         assert abs(mean_counts[k] - expected) / expected < 0.10
+
+
+# --- reference implementations ------------------------------------------
+#
+# Straightforward numpy-scalar versions of the patched event loop and of
+# the telescope samplers (hazard over every jump, horizon or not).  The
+# optimized engine must reproduce them bit for bit, because seeded values
+# are frozen elsewhere in the suite and in saved outputs.
+
+
+class _RefUniformBuffer:
+    """Block-buffered uniforms; one Generator call per 2^14 draws."""
+
+    __slots__ = ("gen", "buf", "k")
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self.buf = gen.random(16384)
+        self.k = 0
+
+    def next(self) -> float:
+        if self.k == 16384:
+            self.buf = self.gen.random(16384)
+            self.k = 0
+        u = self.buf[self.k]
+        self.k += 1
+        return u
+
+
+def _ref_run_patched(params, gen, grid):
+    n = params.n_hosts
+    g = params.gamma
+    pb = params.p_bar
+    is_fixed = params.defense is DefenseKind.FIXED_SERVERS
+    s = n - params.i0 - pb
+    i = params.i0
+    p = pb
+    out_s = np.empty(len(grid))
+    out_i = np.empty(len(grid))
+    out_p = np.empty(len(grid))
+    gi = 0
+    t = 0.0
+    t_end = float(grid[-1])
+    buf = _RefUniformBuffer(gen)
+    halt = None
+    while True:
+        unpatched = s + i
+        rate_infect = s * i / n
+        if is_fixed:
+            rate_patch = g * (pb if unpatched >= pb else unpatched)
+        else:
+            rate_patch = g / n * unpatched * p
+        total = rate_infect + rate_patch
+        if total <= 0.0:
+            halt = t if t > 0.0 else None
+            t_next = math.inf
+        else:
+            t_next = t + -math.log1p(-buf.next()) / total
+        while gi < len(grid) and grid[gi] < t_next:
+            out_s[gi] = s
+            out_i[gi] = i
+            out_p[gi] = p
+            gi += 1
+        if gi == len(grid) or t_next > t_end:
+            break
+        t = t_next
+        u = buf.next() * total
+        if u < rate_infect:
+            s -= 1
+            i += 1
+        else:
+            v = (u - rate_infect) / rate_patch * unpatched
+            if v < i:
+                i -= 1
+            else:
+                s -= 1
+            p += 1
+    return out_s, out_i, out_p, halt, i == 0
+
+
+def _patched(defense, n, i0, gamma, p_bar):
+    return ScenarioParams(
+        n_hosts=n, virulence=1.0, i0=i0, defense=defense, gamma=gamma, p_bar=p_bar
+    )
+
+
+_FIXED = DefenseKind.FIXED_SERVERS
+_P2P = DefenseKind.PEER_TO_PEER
+
+
+@pytest.mark.parametrize(
+    "params,cfg,check",
+    [
+        (  # absorbed well before the horizon with the worm extinct
+            _patched(_FIXED, 300, 3, 2.0, 5),
+            StochasticConfig(t_end_itu=200.0, seed=4),
+            lambda r, params: r[4] and r[3] is not None and r[3] < 100.0,
+        ),
+        (
+            _patched(_P2P, 300, 3, 2.0, 5),
+            StochasticConfig(t_end_itu=12.0, seed=9),
+            lambda r, params: True,
+        ),
+        (  # the fixed-server workforce outnumbers the unpatched hosts
+            _patched(_FIXED, 400, 5, 0.5, 100),
+            StochasticConfig(t_end_itu=60.0, seed=2),
+            lambda r, params: r[0][-1] + r[1][-1] < params.p_bar,
+        ),
+        (  # many grid points between consecutive events
+            _patched(_FIXED, 50, 2, 0.3, 2),
+            StochasticConfig(t_end_itu=10.0, seed=6, sample_dt_itu=1e-3),
+            lambda r, params: len(r[0]) == 10001,
+        ),
+        (
+            _patched(_P2P, 1000, 5, 1.0, 5),
+            StochasticConfig(t_end_itu=0.04, seed=1),
+            lambda r, params: len(r[0]) == 1,
+        ),
+        (
+            _patched(_FIXED, 1000, 5, 1.0, 5),
+            StochasticConfig(t_end_itu=0.05, seed=1),
+            lambda r, params: len(r[0]) == 2,
+        ),
+        (  # more than 8192 events: crosses a 16384-uniform block boundary
+            _patched(_P2P, 20000, 25, 2.0, 10),
+            StochasticConfig(t_end_itu=30.0, seed=3),
+            lambda r, params: r[2][-1] - params.p_bar > 8192,
+        ),
+    ],
+    ids=["fixed-extinct", "p2p", "pbar-exceeds-unpatched", "fine-grid",
+         "one-point-grid", "two-point-grid", "block-boundary"],
+)
+def test_event_loop_matches_reference(params, cfg, check):
+    grid = stochastic._grid(cfg)
+    got = stochastic._run_patched(params, stochastic._rng(cfg.seed), grid)
+    want = _ref_run_patched(params, stochastic._rng(cfg.seed), grid)
+    assert check(want, params)  # the case exercises what its id says
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert got[3] == want[3]
+    assert got[4] == want[4]
+
+
+def _ref_first_hits(params, monitors, config):
+    c = monitors / params.n_hosts
+    t_end = config.t_end_itu
+    out = np.empty(config.runs)
+    for k in range(config.runs):
+        gen = stochastic._rng(config.seed + k)
+        jumps = stochastic._infection_jumps(params, gen)
+        target = gen.exponential(1.0)
+        jumps_in = jumps[jumps < t_end]
+        h_jumps = stochastic._hazard_at(jumps_in, jumps, params.i0, c)
+        j = int(np.searchsorted(h_jumps, target, side="right"))
+        seg_start = 0.0 if j == 0 else float(jumps_in[j - 1])
+        h_start = 0.0 if j == 0 else float(h_jumps[j - 1])
+        t_hit = seg_start + (target - h_start) / (c * (params.i0 + j))
+        out[k] = t_hit if t_hit <= t_end else np.inf
+    return out
+
+
+@pytest.mark.parametrize("monitors,t_end", [(1086, 2.22), (30, 9.0), (5000, 40.0)])
+def test_telescope_prefix_matches_full_jump_hazard(monkeypatch, monitors, t_end):
+    # Every hazard the samplers evaluate on their in-horizon jump prefix
+    # must equal the hazard over the run's full jump path.
+    params = _undefended(10000)
+    cfg = StochasticConfig(t_end_itu=t_end, seed=11, runs=40)
+    want = _ref_first_hits(params, monitors, cfg)
+    infection_jumps, hazard_at = stochastic._infection_jumps, stochastic._hazard_at
+    full = []
+
+    def recording_jumps(params, gen):
+        full.append(infection_jumps(params, gen))
+        return full[-1]
+
+    def checked_hazard(times, jumps, i0, c):
+        got = hazard_at(times, jumps, i0, c)
+        assert np.array_equal(got, hazard_at(times, full[-1], i0, c))
+        return got
+
+    monkeypatch.setattr(stochastic, "_infection_jumps", recording_jumps)
+    monkeypatch.setattr(stochastic, "_hazard_at", checked_hazard)
+    assert np.array_equal(detection_sim(params, monitors, cfg), want)
+    monitor_scan_counts(params, monitors, cfg)
+    assert len(full) == 2 * cfg.runs
