@@ -34,11 +34,8 @@ from .fluid import (
     closed_form_trajectory,
     fixed_validity_window,
     rhs,
-    rhs_fixed_servers,
-    rhs_no_patch,
-    rhs_p2p,
 )
-from .integrate import IntegrationMethod, IntegratorConfig, integrate
+from .integrate import IntegratorConfig, integrate
 from .metrics import (
     SummaryMetrics,
     default_extinction_threshold,
@@ -76,7 +73,6 @@ __all__ = [
     "DefenseKind",
     "Derivative",
     "EnsembleResult",
-    "IntegrationMethod",
     "IntegratorConfig",
     "MonitorPlan",
     "PopulationState",
@@ -112,9 +108,6 @@ __all__ = [
     "p2p_peak_infected",
     "p2p_peak_time",
     "rhs",
-    "rhs_fixed_servers",
-    "rhs_no_patch",
-    "rhs_p2p",
     "simulate",
     "spread_time",
     "summarize",

@@ -42,6 +42,7 @@ from .core import (
     TimeValue,
     Trajectory,
     validate,
+    validate_trajectory,
 )
 from .fluid import closed_form_trajectory, fixed_validity_window
 from .integrate import IntegratorConfig, integrate
@@ -54,9 +55,7 @@ from .metrics import (
     p2p_peak_infected,
     p2p_peak_time,
     spread_time,
-    trajectory_extinction,
-    trajectory_peak,
-    trajectory_spread_time,
+    summarize,
 )
 from .monitoring import expected_scans, monitors_for_detection, thumb_rule_monitors
 from .scenarios import BUILTIN_SCENARIOS, builtin_names, builtin_scenario
@@ -373,27 +372,35 @@ def _closed_form_grid(scn: ResolvedScenario) -> np.ndarray:
 
 
 def run_engine(scn: ResolvedScenario, engine: str):
-    """Produce (trajectory, extras) for one engine name."""
+    """Produce (trajectory, extras) for one engine name.
+
+    A non-finite state, or a trajectory that fails
+    ``validate_trajectory``, raises NumericalError.
+    """
     try:
+        extras = {}
         if engine == "closed_form":
             traj = closed_form_trajectory(scn.params, _closed_form_grid(scn))
-            return traj, {}
-        if engine == "integrate":
+        elif engine == "integrate":
             traj = integrate(scn.params, scn.integrator)
-            return traj, {}
-        if engine == "stochastic":
-            if scn.stochastic.runs == 1:
-                traj = simulate(scn.params, scn.stochastic)
-                return traj, {"seed": scn.stochastic.seed, "runs": 1}
+        elif engine == "stochastic" and scn.stochastic.runs == 1:
+            traj = simulate(scn.params, scn.stochastic)
+            extras = {"seed": scn.stochastic.seed, "runs": 1}
+        elif engine == "stochastic":
             result = ensemble(scn.params, scn.stochastic)
+            traj = result.mean
             extras = {
                 "seed": scn.stochastic.seed,
                 "runs": result.runs_used,
                 "extinct_before_end": result.extinct_before_end,
             }
-            return result.mean, extras
-        raise ConfigError(f"unknown engine {engine!r}")
+        else:
+            raise ConfigError(f"unknown engine {engine!r}")
     except (RuntimeError, FloatingPointError, OverflowError) as exc:
+        raise NumericalError(f"engine {engine}: {exc}") from exc
+    try:
+        return validate_trajectory(traj), extras
+    except ValueError as exc:
         raise NumericalError(f"engine {engine}: {exc}") from exc
 
 
@@ -402,32 +409,26 @@ def _time_json(scn: ResolvedScenario, t_itu: float) -> dict:
     return {"itu": tv.itu, "wallclock": tv.wallclock, "unit": scn.time_unit}
 
 
+def _optional_time_json(scn: ResolvedScenario, tv: Optional[TimeValue]):
+    return None if tv is None else _time_json(scn, tv.itu)
+
+
 def measure_trajectory(scn: ResolvedScenario, traj: Trajectory) -> dict:
     """Summary metrics for one engine's trajectory, JSON-ready."""
-    peak_time, peak_infected = trajectory_peak(traj)
-    try:
-        extinction = trajectory_extinction(traj, scn.extinction_threshold)
-    except ValueError:
-        extinction = None
+    summary = summarize(traj, scn.extinction_threshold, scn.kappa)
     block = {
-        "peak_time": _time_json(scn, peak_time.itu),
-        "peak_infected": float(peak_infected),
-        "extinction_threshold": scn.extinction_threshold,
-        "extinction_time": None
-        if extinction is None
-        else _time_json(scn, extinction.itu),
+        "peak_time": _time_json(scn, summary.peak_time.itu),
+        "peak_infected": float(summary.peak_infected),
+        "extinction_threshold": summary.extinction_threshold,
+        "extinction_time": _optional_time_json(scn, summary.extinction_time),
         "samples": int(len(traj.t_itu)),
         "halt": None if traj.halt_itu is None else _time_json(scn, traj.halt_itu),
     }
     if scn.kappa:
-        spread = {}
-        for value in scn.kappa:
-            try:
-                tv = trajectory_spread_time(traj, value)
-                spread[f"{value:g}"] = _time_json(scn, tv.itu)
-            except ValueError:
-                spread[f"{value:g}"] = None
-        block["spread_time"] = spread
+        block["spread_time"] = {
+            f"{kappa:g}": _optional_time_json(scn, tv)
+            for kappa, tv in summary.spread_times.items()
+        }
     return block
 
 
@@ -568,19 +569,38 @@ def monitoring_block(scn: ResolvedScenario) -> dict:
     return block
 
 
-def build_report(scn: ResolvedScenario, trajectories: dict, extras: dict) -> dict:
-    measured = {
-        engine: measure_trajectory(scn, traj) for engine, traj in trajectories.items()
-    }
-    for engine, extra in extras.items():
-        if extra:
-            measured[engine]["stochastic"] = extra
+@dataclass(frozen=True)
+class Evaluation:
+    """Every engine's trajectory and measurement, compared with the analytics."""
+
+    trajectories: dict
+    measured: dict
+    rows: list
+    errors: dict
+    worst: Optional[float]
+
+
+def evaluate(scn: ResolvedScenario) -> Evaluation:
+    """Run and measure each engine; compare the measurements with the analytics."""
+    trajectories = {}
+    measured = {}
+    for engine in scn.engines:
+        traj, extras = run_engine(scn, engine)
+        trajectories[engine] = traj
+        measured[engine] = measure_trajectory(scn, traj)
+        if extras:
+            measured[engine]["stochastic"] = extras
     rows = comparison_rows(scn, measured)
     errors = relative_errors(rows)
     worst = max(
         (err for per_engine in errors.values() for err in per_engine.values()),
         default=None,
     )
+    return Evaluation(trajectories, measured, rows, errors, worst)
+
+
+def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
+    """The report.json mapping for an evaluated scenario."""
     params = scn.params
     report = {
         "scenario": scn.name,
@@ -594,13 +614,13 @@ def build_report(scn: ResolvedScenario, trajectories: dict, extras: dict) -> dic
             "gamma": params.gamma,
             "p_bar": params.p_bar,
         },
-        "engines": measured,
+        "engines": result.measured,
         "analytic": analytic_predictions(scn),
-        "relative_errors": errors,
+        "relative_errors": result.errors,
         "tolerance": {
             "compare_tolerance": scn.compare_tolerance,
-            "worst_relative_error": worst,
-            "within_tolerance": True if worst is None else worst <= scn.compare_tolerance,
+            "worst_relative_error": result.worst,
+            "within_tolerance": result.worst is None or result.worst <= scn.compare_tolerance,
         },
         "environment": {
             "package": f"wormsim {__version__}",
@@ -684,53 +704,36 @@ def _scenario_banner(scn: ResolvedScenario) -> str:
 
 def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    trajectories = {}
-    extras = {}
-    for engine in scn.engines:
-        trajectories[engine], extras[engine] = run_engine(scn, engine)
+    result = evaluate(scn)
     print(_scenario_banner(scn))
-    for engine, traj in trajectories.items():
+    for engine, traj in result.trajectories.items():
         csv_path = os.path.join(out_dir, f"{scn.name}_{engine}.csv")
         write_trajectory_csv(csv_path, traj)
         print(f"wrote {csv_path} ({len(traj.t_itu)} samples)")
-    report = build_report(scn, trajectories, extras)
     report_path = os.path.join(out_dir, "report.json")
-    write_report_json(report_path, report)
+    write_report_json(report_path, build_report(scn, result))
     print(f"wrote {report_path}")
-    worst = report["tolerance"]["worst_relative_error"]
-    if worst is not None:
+    if result.worst is not None:
         print(
-            f"worst relative error {worst:.4g} "
+            f"worst relative error {result.worst:.4g} "
             f"(tolerance {scn.compare_tolerance:g})"
         )
     return 0
 
 
 def cmd_compare(scn: ResolvedScenario) -> int:
-    trajectories = {}
-    extras = {}
-    for engine in scn.engines:
-        trajectories[engine], extras[engine] = run_engine(scn, engine)
-    measured = {
-        engine: measure_trajectory(scn, traj) for engine, traj in trajectories.items()
-    }
-    rows = comparison_rows(scn, measured)
+    result = evaluate(scn)
     print(_scenario_banner(scn))
-    if not rows:
+    if not result.rows:
         print("no analytic comparisons defined for this scenario")
         return 0
-    print(format_comparison_table(scn, rows))
-    errors = relative_errors(rows)
-    worst = max(
-        (err for per_engine in errors.values() for err in per_engine.values()),
-        default=None,
-    )
-    if worst is None:
+    print(format_comparison_table(scn, result.rows))
+    if result.worst is None:
         print("no measured quantities to compare")
         return 0
-    verdict = "OK" if worst <= scn.compare_tolerance else "FAIL"
+    verdict = "OK" if result.worst <= scn.compare_tolerance else "FAIL"
     print(
-        f"worst relative error {worst:.4g} vs tolerance "
+        f"worst relative error {result.worst:.4g} vs tolerance "
         f"{scn.compare_tolerance:g}: {verdict}"
     )
     return 0 if verdict == "OK" else 1

@@ -1,7 +1,7 @@
 """Mean-field (fluid) models of worm spread under each defense.
 
-Right-hand sides are expressed in ITU, where the worm's infection term
-is always S*I/N.  The two defenses add patching flows:
+The right-hand side is expressed in ITU, where the worm's infection
+term is always S*I/N.  The two defenses add patching flows:
 
   * fixed servers: a constant workforce of p_bar servers patches
     unpatched hosts at total rate gamma * p_bar, split between S and I
@@ -11,6 +11,9 @@ is always S*I/N.  The two defenses add patching flows:
   * peer-to-peer: every patched host spreads the patch like a
     counter-worm, at rate gamma relative to the worm, so the total
     patching flow is (gamma/N) * (S + I) * P.
+
+``rhs`` evaluates ``_deriv``, the same kernel the RK4 integrator steps
+with, so the rates checked here are the rates that get integrated.
 
 Each model has an exact closed-form solution for I(t) (and P(t) for the
 peer-to-peer patch sigmoid), implemented here in overflow-safe form.
@@ -28,6 +31,7 @@ from .core import (
     ScenarioParams,
     Trajectory,
     TrajectorySource,
+    validate,
 )
 
 
@@ -41,58 +45,47 @@ class Derivative:
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides
+# Right-hand side
 # ---------------------------------------------------------------------------
 
-def rhs_no_patch(state: PopulationState, params: ScenarioParams) -> Derivative:
-    """Simple epidemic: dI/dt = S*I/N, no patching flow."""
-    infect = state.s * state.i / params.n_hosts
-    return Derivative(ds_dt=-infect, di_dt=infect, dp_dt=0.0)
-
-
-def rhs_fixed_servers(state: PopulationState, params: ScenarioParams) -> Derivative:
-    """Worm vs a fixed patching workforce of p_bar servers.
-
-    Raises ValueError if S + I = 0: the per-host patch rate divides by
-    the unpatched pool, so the derivative is undefined there.
-    """
-    s, i = state.s, state.i
-    unpatched = s + i
-    if unpatched <= 0.0:
-        raise ValueError("derivative undefined: s + i = 0")
-    infect = s * i / params.n_hosts
-    # Workforce saturates when fewer targets than servers remain.
-    patch_total = params.gamma * min(float(params.p_bar), unpatched)
-    return Derivative(
-        ds_dt=-infect - patch_total * s / unpatched,
-        di_dt=infect - patch_total * i / unpatched,
-        dp_dt=patch_total,
-    )
-
-
-def rhs_p2p(state: PopulationState, params: ScenarioParams) -> Derivative:
-    """Worm vs a patch that spreads epidemically from patched hosts."""
-    s, i, p = state.s, state.i, state.p
-    n = params.n_hosts
-    infect = s * i / n
-    rate = params.gamma / n * p
-    return Derivative(
-        ds_dt=-infect - rate * s,
-        di_dt=infect - rate * i,
-        dp_dt=rate * (s + i),
-    )
-
-
-_RHS_BY_DEFENSE = {
-    DefenseKind.NO_PATCHING: rhs_no_patch,
-    DefenseKind.FIXED_SERVERS: rhs_fixed_servers,
-    DefenseKind.PEER_TO_PEER: rhs_p2p,
+_DEFENSE_CODE = {
+    DefenseKind.NO_PATCHING: 0,
+    DefenseKind.FIXED_SERVERS: 1,
+    DefenseKind.PEER_TO_PEER: 2,
 }
 
 
+def _deriv(defense, n, gamma, p_bar, s, i, p):
+    """(dS/dt, dI/dt, dP/dt) on floats; ``defense`` is a _DEFENSE_CODE value."""
+    infect = s * i / n
+    if defense == 0:
+        return -infect, infect, 0.0
+    if defense == 1:
+        unpatched = s + i
+        if unpatched <= 0.0:
+            return 0.0, 0.0, 0.0
+        # Workforce saturates when fewer targets than servers remain.
+        work = p_bar if unpatched >= p_bar else unpatched
+        total = gamma * work
+        return (-infect - total * s / unpatched,
+                infect - total * i / unpatched,
+                total)
+    rate = gamma / n * p
+    return -infect - rate * s, infect - rate * i, rate * (s + i)
+
+
 def rhs(state: PopulationState, params: ScenarioParams) -> Derivative:
-    """Model right-hand side for the scenario's defense."""
-    return _RHS_BY_DEFENSE[params.defense](state, params)
+    """Model right-hand side for the scenario's defense.
+
+    Raises ValueError for fixed servers at S + I = 0: the per-host patch
+    rate divides by the unpatched pool, so the derivative is undefined
+    there (the integrator's kernel treats that state as at rest).
+    """
+    if params.defense is DefenseKind.FIXED_SERVERS and state.s + state.i <= 0.0:
+        raise ValueError("derivative undefined: s + i = 0")
+    code = _DEFENSE_CODE[params.defense]
+    n, p_bar = float(params.n_hosts), float(params.p_bar)
+    return Derivative(*_deriv(code, n, params.gamma, p_bar, state.s, state.i, state.p))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +188,9 @@ def closed_form_trajectory(params: ScenarioParams, t_grid) -> Trajectory:
     S is reconstructed as N - I - P; float residue that would push S
     below zero is folded into P so hosts are conserved exactly.
     For FIXED_SERVERS the grid must lie inside the validity window.
+    Raises ScenarioError for params that break a model invariant.
     """
+    validate(params)
     t = np.asarray(t_grid, dtype=float)
     n = float(params.n_hosts)
     if params.defense is DefenseKind.NO_PATCHING:

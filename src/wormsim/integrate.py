@@ -1,11 +1,13 @@
 """Fixed-step RK4 integration of the fluid models.
 
-A single jitted kernel advances (S, I, P) with classic 4th-order
+A pure-Python kernel advances (S, I, P) with classic 4th-order
 Runge-Kutta at a fixed ITU step, recording every ``sample_stride``-th
-state.  Integration halts early once the infected compartment falls
-below half a host while shrinking: the fluid infection is extinct at
-sub-host resolution and nothing further can change the epidemic's
-course.  The halt time is recorded on the trajectory.
+state.  Its right-hand side is ``fluid._deriv``, the one that
+``fluid.rhs`` evaluates.  Integration halts early once the infected
+compartment falls below half a host while shrinking: the fluid
+infection is extinct at sub-host resolution and nothing further can
+change the epidemic's course.  The halt time is recorded on the
+trajectory.
 
 Fixed stepping (rather than an adaptive library solver) keeps runs
 bit-reproducible across platforms and makes the convergence order
@@ -16,42 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .core import (
-    DefenseKind,
     ScenarioParams,
     Trajectory,
     TrajectorySource,
     initial_state,
+    validate,
 )
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in normal installs
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
+from .fluid import _DEFENSE_CODE, _deriv
 
 MAX_DT_ITU = 0.01
-
-_DEFENSE_CODE = {
-    DefenseKind.NO_PATCHING: 0,
-    DefenseKind.FIXED_SERVERS: 1,
-    DefenseKind.PEER_TO_PEER: 2,
-}
 
 # Kernel exit codes.
 _RAN_TO_END = 0
@@ -64,10 +43,6 @@ _DIVERGED = 2
 _FLUSH_HOSTS = 1e-30
 
 
-class IntegrationMethod(Enum):
-    RK4_FIXED = "rk4_fixed"
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step integration settings (all times in ITU)."""
@@ -75,7 +50,6 @@ class IntegratorConfig:
     t_end_itu: float
     dt_itu: float = 0.001
     sample_stride: int = 10
-    method: IntegrationMethod = IntegrationMethod.RK4_FIXED
 
 
 def validate_config(config: IntegratorConfig) -> IntegratorConfig:
@@ -87,30 +61,9 @@ def validate_config(config: IntegratorConfig) -> IntegratorConfig:
         raise ValueError(f"dt_itu must be <= {MAX_DT_ITU} ITU")
     if not isinstance(config.sample_stride, int) or config.sample_stride < 1:
         raise ValueError("sample_stride must be an integer >= 1")
-    if not isinstance(config.method, IntegrationMethod):
-        raise ValueError("unknown integration method")
     return config
 
 
-@njit(cache=True)
-def _deriv(defense, n, gamma, p_bar, s, i, p):
-    infect = s * i / n
-    if defense == 0:
-        return -infect, infect, 0.0
-    if defense == 1:
-        unpatched = s + i
-        if unpatched <= 0.0:
-            return 0.0, 0.0, 0.0
-        work = p_bar if unpatched >= p_bar else unpatched
-        total = gamma * work
-        return (-infect - total * s / unpatched,
-                infect - total * i / unpatched,
-                total)
-    rate = gamma / n * p
-    return -infect - rate * s, infect - rate * i, rate * (s + i)
-
-
-@njit(cache=True)
 def _rk4_kernel(defense, n, gamma, p_bar, s, i, p, dt, n_steps, stride,
                 out_t, out_s, out_i, out_p):
     """Advance n_steps and fill sample arrays.
@@ -182,8 +135,10 @@ def integrate(params: ScenarioParams, config: IntegratorConfig) -> Trajectory:
     The horizon is rounded up to a whole number of steps.  Raises
     RuntimeError naming the first bad step if the state stops being
     finite (cannot happen for in-contract scenarios, but the guard
-    keeps misuse loud rather than silent).
+    keeps misuse loud rather than silent).  Raises ScenarioError for
+    params that break a model invariant.
     """
+    validate(params)
     validate_config(config)
     state = initial_state(params)
     n_steps = max(1, int(math.ceil(config.t_end_itu / config.dt_itu - 1e-9)))

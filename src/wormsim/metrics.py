@@ -11,8 +11,8 @@ compared on equal footing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,13 +21,17 @@ from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory
 
 @dataclass(frozen=True)
 class SummaryMetrics:
-    """Headline numbers extracted from one trajectory."""
+    """Headline numbers extracted from one trajectory.
+
+    ``spread_times`` maps each requested kappa to the time I first
+    reaches kappa * N, or None if it never does.
+    """
 
     peak_time: TimeValue
     peak_infected: float
     extinction_threshold: float
     extinction_time: Optional[TimeValue]
-    spread_time_to_kappa: Optional[TimeValue] = None
+    spread_times: dict[float, Optional[TimeValue]] = field(default_factory=dict)
 
 
 def _require_defense(params: ScenarioParams, kind: DefenseKind, what: str) -> None:
@@ -215,7 +219,7 @@ def trajectory_spread_time(traj: Trajectory, kappa: float) -> TimeValue:
 def summarize(
     traj: Trajectory,
     threshold: Optional[float] = None,
-    kappa: Optional[float] = None,
+    kappas: Sequence[float] = (),
 ) -> SummaryMetrics:
     """Extract the standard summary block from a trajectory."""
     if threshold is None:
@@ -225,16 +229,16 @@ def summarize(
         extinction: Optional[TimeValue] = trajectory_extinction(traj, threshold)
     except ValueError:
         extinction = None
-    spread: Optional[TimeValue] = None
-    if kappa is not None:
+    spread = {}
+    for kappa in kappas:
         try:
-            spread = trajectory_spread_time(traj, kappa)
+            spread[kappa] = trajectory_spread_time(traj, kappa)
         except ValueError:
-            spread = None
+            spread[kappa] = None
     return SummaryMetrics(
         peak_time=peak_time,
         peak_infected=peak_infected,
         extinction_threshold=threshold,
         extinction_time=extinction,
-        spread_time_to_kappa=spread,
+        spread_times=spread,
     )

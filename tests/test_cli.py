@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from wormsim import cli
@@ -14,6 +15,7 @@ from wormsim.cli import (
     parse_virulence,
     resolve_scenario,
 )
+from wormsim.core import Trajectory, TrajectorySource
 from wormsim.scenarios import builtin_names
 
 
@@ -188,14 +190,31 @@ def test_config_error_exit_codes():
     )
 
 
-def test_numerical_failure_exit_code(monkeypatch, capsys):
-    def explode(params, config):
-        raise RuntimeError("integration diverged")
+def _diverging_integrate(params, config):
+    raise RuntimeError("integration diverged")
 
-    monkeypatch.setattr(cli, "integrate", explode)
-    code = main(["compare", "--config", "codered-nopatch", "--engines", "integrate"])
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+
+def _negative_integrate(params, config):
+    n = float(params.n_hosts)
+    return Trajectory(
+        t_itu=np.array([0.0, 1.0]), s=np.array([n - 1.0, n + 1.0]),
+        i=np.array([1.0, -1.0]), p=np.zeros(2), params=params,
+        source=TrajectorySource.INTEGRATED,
+    )
+
+
+def test_numerical_failure_exit_code(monkeypatch, capsys):
+    # One fake engine raises; the other returns a negative compartment,
+    # which run_engine's validate_trajectory check must catch.
+    for fake, message in (
+        (_diverging_integrate, "diverged"),
+        (_negative_integrate, "negative compartment"),
+    ):
+        monkeypatch.setattr(cli, "integrate", fake)
+        code = main(["compare", "--config", "codered-nopatch", "--engines", "integrate"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and message in err
 
 
 # --- run artifacts ------------------------------------------------------

@@ -24,7 +24,7 @@ def test_rhs_no_patch_rates():
     params = ScenarioParams(
         n_hosts=1000, virulence=1.0, i0=1, defense=DefenseKind.NO_PATCHING
     )
-    d = fluid.rhs_no_patch(PopulationState(s=900.0, i=100.0, p=0.0), params)
+    d = fluid.rhs(PopulationState(s=900.0, i=100.0, p=0.0), params)
     assert d.di_dt == pytest.approx(900 * 100 / 1000)
     assert d.ds_dt == pytest.approx(-900 * 100 / 1000)
     assert d.dp_dt == 0.0
@@ -36,7 +36,7 @@ def test_rhs_fixed_servers_rates():
         defense=DefenseKind.FIXED_SERVERS, gamma=2.0, p_bar=10,
     )
     st = PopulationState(s=800.0, i=100.0, p=100.0)
-    d = fluid.rhs_fixed_servers(st, params)
+    d = fluid.rhs(st, params)
     assert d.di_dt == pytest.approx(800 * 100 / 1000 - 2 * 10 * 100 / 900)
     assert d.ds_dt + d.di_dt + d.dp_dt == pytest.approx(0.0, abs=1e-12)
 
@@ -47,7 +47,7 @@ def test_rhs_fixed_servers_finishing_phase():
         n_hosts=1000, virulence=1.0, i0=1,
         defense=DefenseKind.FIXED_SERVERS, gamma=2.0, p_bar=10,
     )
-    d = fluid.rhs_fixed_servers(PopulationState(s=3.0, i=2.0, p=995.0), params)
+    d = fluid.rhs(PopulationState(s=3.0, i=2.0, p=995.0), params)
     assert d.ds_dt == pytest.approx(-3 * 2 / 1000 - 2.0 * 5 * (3 / 5))
     assert d.di_dt == pytest.approx(3 * 2 / 1000 - 2.0 * 5 * (2 / 5))
     assert d.dp_dt == pytest.approx(2.0 * 5)
@@ -59,7 +59,7 @@ def test_rhs_fixed_servers_empty_pool_raises():
         defense=DefenseKind.FIXED_SERVERS, gamma=2.0, p_bar=10,
     )
     with pytest.raises(ValueError, match="s \\+ i = 0"):
-        fluid.rhs_fixed_servers(PopulationState(s=0.0, i=0.0, p=1000.0), params)
+        fluid.rhs(PopulationState(s=0.0, i=0.0, p=1000.0), params)
 
 
 def test_rhs_p2p_rates():
@@ -68,19 +68,10 @@ def test_rhs_p2p_rates():
         defense=DefenseKind.PEER_TO_PEER, gamma=2.0, p_bar=10,
     )
     st = PopulationState(s=800.0, i=100.0, p=100.0)
-    d = fluid.rhs_p2p(st, params)
+    d = fluid.rhs(st, params)
     assert d.di_dt == pytest.approx(80 - 2 / 1000 * 100 * 100)
     assert d.dp_dt == pytest.approx(2 / 1000 * 900 * 100)
     assert d.ds_dt + d.di_dt + d.dp_dt == pytest.approx(0.0, abs=1e-12)
-
-
-def test_rhs_dispatcher_matches_specific(codered_fixed, codered_p2p_g2):
-    st = PopulationState(s=300000.0, i=50000.0, p=10000.0)
-    for params, specific in (
-        (codered_fixed, fluid.rhs_fixed_servers),
-        (codered_p2p_g2, fluid.rhs_p2p),
-    ):
-        assert fluid.rhs(st, params) == specific(st, params)
 
 
 # --- no-patch closed form -----------------------------------------------

@@ -180,14 +180,15 @@ def test_summarize_fixed_servers(codered_fixed):
     assert summary.peak_infected == pytest.approx(231304, rel=1e-4)
     assert summary.peak_time.itu == pytest.approx(15.014, abs=5e-3)
     assert summary.extinction_time.itu == pytest.approx(46.147, abs=5e-2)
-    assert summary.spread_time_to_kappa is None
+    assert summary.spread_times == {}
 
 
 def test_summarize_never_extinct_is_none(codered_nopatch):
     traj = integrate(codered_nopatch, IntegratorConfig(t_end_itu=16.0))
-    summary = summarize(traj, kappa=0.5)
+    summary = summarize(traj, kappas=(0.5, 0.999))
     assert summary.extinction_time is None
-    assert summary.spread_time_to_kappa.itu == pytest.approx(9.5749, abs=1e-3)
+    assert summary.spread_times[0.5].itu == pytest.approx(9.5749, abs=1e-3)
+    assert summary.spread_times[0.999] is None
 
 
 # --- fixed-servers operating-regime sweep -------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from wormsim import fluid, stochastic
 from wormsim.core import DefenseKind, ScenarioError, ScenarioParams, TrajectorySource
+from wormsim.integrate import IntegratorConfig, integrate
 from wormsim.stochastic import (
     StochasticConfig,
     detection_sim,
@@ -41,8 +42,13 @@ def test_config_validation(kwargs, message):
         ensemble,
         lambda params, cfg: detection_sim(params, 10, cfg),
         lambda params, cfg: monitor_scan_counts(params, 10, cfg),
+        lambda params, cfg: integrate(params, IntegratorConfig(cfg.t_end_itu)),
+        lambda params, cfg: fluid.closed_form_trajectory(params, [0.0, cfg.t_end_itu]),
     ],
-    ids=["simulate", "ensemble", "detection_sim", "monitor_scan_counts"],
+    ids=[
+        "simulate", "ensemble", "detection_sim", "monitor_scan_counts",
+        "integrate", "closed_form_trajectory",
+    ],
 )
 def test_entry_points_validate_params(call):
     params = ScenarioParams(
