@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .core import (
@@ -170,6 +169,7 @@ def load_config(source: str) -> dict:
     if source in BUILTIN_SCENARIOS:
         return builtin_scenario(source)
     if os.path.exists(source):
+        import yaml
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 config = yaml.safe_load(fh)
@@ -190,6 +190,7 @@ def apply_override(config: dict, assignment: str) -> None:
     key = key.strip()
     if not sep or not key:
         raise ConfigError(f"--set needs KEY=VALUE (got {assignment!r})")
+    import yaml
     try:
         value = yaml.safe_load(value_text) if value_text.strip() else None
     except yaml.YAMLError as exc:
@@ -639,16 +640,10 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_itu", "t_wallclock", "S", "I", "P"])
-        for k in range(len(traj.t_itu)):
-            writer.writerow(
-                [
-                    repr(float(traj.t_itu[k])),
-                    repr(float(wallclock[k])),
-                    repr(float(traj.s[k])),
-                    repr(float(traj.i[k])),
-                    repr(float(traj.p[k])),
-                ]
-            )
+        columns = (traj.t_itu, wallclock, traj.s, traj.i, traj.p)
+        writer.writerows(
+            zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
+        )
 
 
 def write_report_json(path: str, report: dict) -> None:

@@ -75,6 +75,11 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_positive(value) -> bool:
+    """A finite real above zero; a bool is not a number here."""
+    return not isinstance(value, bool) and np.isfinite(value) and value > 0.0
+
+
 def validate(params: ScenarioParams) -> ScenarioParams:
     """Check scenario invariants, returning the params unchanged.
 

@@ -25,6 +25,7 @@ from .core import (
     ScenarioParams,
     Trajectory,
     TrajectorySource,
+    _is_positive,
     initial_state,
     validate,
 )
@@ -53,13 +54,14 @@ class IntegratorConfig:
 
 
 def validate_config(config: IntegratorConfig) -> IntegratorConfig:
-    if not np.isfinite(config.t_end_itu) or config.t_end_itu <= 0.0:
+    if not _is_positive(config.t_end_itu):
         raise ValueError("t_end_itu must be positive")
-    if not np.isfinite(config.dt_itu) or config.dt_itu <= 0.0:
+    if not _is_positive(config.dt_itu):
         raise ValueError("dt_itu must be positive")
     if config.dt_itu > MAX_DT_ITU:
         raise ValueError(f"dt_itu must be <= {MAX_DT_ITU} ITU")
-    if not isinstance(config.sample_stride, int) or config.sample_stride < 1:
+    stride = config.sample_stride
+    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
         raise ValueError("sample_stride must be an integer >= 1")
     return config
 

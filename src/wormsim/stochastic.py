@@ -21,7 +21,12 @@ independent Poisson increments.
 
 Randomness comes from numpy's counter-based Philox generator; run k of
 an ensemble uses key seed + k, making every run independently
-reproducible and the ensemble independent of execution order.
+reproducible and the ensemble independent of execution order.  A
+patched ensemble of two or more runs and at least 100,000 host-runs
+(runs * N) therefore spreads its runs over forked worker processes, one
+per usable CPU, when the platform can fork and the caller is neither a
+daemonic pool worker nor multi-threaded; results are collected in key
+order, so they never depend on the split.
 
 Seeded patched runs stay bit-identical only while this draw contract
 holds: each event spends exactly two uniforms of the run's stream, the
@@ -29,11 +34,16 @@ holding time and then the event, drawn in blocks of 16384 (even, so no
 pair straddles two blocks); the holding time is -math.log1p(-u) / total
 (array np.log1p differs in the last ulp on some inputs).  Python floats
 follow the same IEEE-754 double arithmetic as numpy float64 scalars.
+Host counts are carried as floats: every count and the product S * I
+are integers below 2**53 (N up to ~1.9e8), so each rate rounds exactly
+as the integer form does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +53,7 @@ from .core import (
     ScenarioParams,
     Trajectory,
     TrajectorySource,
+    _is_positive,
     validate,
 )
 
@@ -69,14 +80,20 @@ class EnsembleResult:
     extinct_before_end: int
 
 
+# A patched run fires about N events at ~0.7 us each, and starting a
+# worker pool costs ~40 ms: smaller ensembles run in this process.
+_POOL_MIN_HOST_RUNS = 100_000
+
+
 def validate_config(config: StochasticConfig) -> StochasticConfig:
-    if not np.isfinite(config.t_end_itu) or config.t_end_itu <= 0.0:
+    if not _is_positive(config.t_end_itu):
         raise ValueError("t_end_itu must be positive")
-    if not np.isfinite(config.sample_dt_itu) or config.sample_dt_itu <= 0.0:
+    if not _is_positive(config.sample_dt_itu):
         raise ValueError("sample_dt_itu must be positive")
-    if not isinstance(config.runs, int) or config.runs < 1:
+    runs, seed = config.runs, config.seed
+    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
         raise ValueError("runs must be an integer >= 1")
-    if not isinstance(config.seed, int) or config.seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     return config
 
@@ -110,12 +127,14 @@ def _run_no_patch(params: ScenarioParams, gen, grid):
 
 
 def _run_patched(params: ScenarioParams, gen, grid):
-    n = params.n_hosts
+    n = float(params.n_hosts)
     g = params.gamma
-    pb = params.p_bar
+    pb = float(params.p_bar)
+    g_n = g / n
+    g_pb = g * pb
     is_fixed = params.defense is DefenseKind.FIXED_SERVERS
-    s = n - params.i0 - pb
-    i = params.i0
+    i = float(params.i0)
+    s = n - i - pb
     p = pb
     n_pts = len(grid)
     out_s = np.empty(n_pts)
@@ -133,9 +152,9 @@ def _run_patched(params: ScenarioParams, gen, grid):
             unpatched = s + i
             rate_infect = s * i / n
             if is_fixed:
-                rate_patch = g * (pb if unpatched >= pb else unpatched)
+                rate_patch = g_pb if unpatched >= pb else g * unpatched
             else:
-                rate_patch = g / n * unpatched * p
+                rate_patch = g_n * unpatched * p
             total = rate_infect + rate_patch
             if total <= 0.0:
                 halt = t if t > 0.0 else None  # absorbed; state frozen
@@ -157,15 +176,15 @@ def _run_patched(params: ScenarioParams, gen, grid):
             # uniform, so it reuses cleanly for the infected/susceptible split.
             u = u_event * total
             if u < rate_infect:
-                s -= 1
-                i += 1
+                s -= 1.0
+                i += 1.0
             else:
                 v = (u - rate_infect) / rate_patch * unpatched
                 if v < i:
-                    i -= 1
+                    i -= 1.0
                 else:
-                    s -= 1
-                p += 1
+                    s -= 1.0
+                p += 1.0
 
 
 def _run(params: ScenarioParams, run_key: int, grid: np.ndarray):
@@ -191,13 +210,53 @@ def simulate(params: ScenarioParams, config: StochasticConfig) -> Trajectory:
     )
 
 
+def _runs(params: ScenarioParams, config: StochasticConfig, grid: np.ndarray):
+    """Yield the results of runs seed, seed+1, ... in key order.
+
+    Large patched ensembles of two or more runs fork one worker per
+    usable CPU; a worker that is free takes the next run, and imap
+    hands results back in key order, holding only the runs in flight.
+    """
+    keys = range(config.seed, config.seed + config.runs)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, config.runs)
+    if (
+        params.defense is not DefenseKind.NO_PATCHING
+        and config.runs * params.n_hosts >= _POOL_MIN_HOST_RUNS
+        and workers >= 2
+    ):
+        import multiprocessing
+        import threading
+
+        # Forked workers start without re-importing numpy, but a fork
+        # is only safe from a single-threaded process, and a daemonic
+        # pool worker may not have children at all.
+        if (
+            "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+            and threading.active_count() == 1
+        ):
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(workers) as pool:
+                yield from pool.imap(functools.partial(_run, params, grid=grid), keys)
+            return
+    for key in keys:
+        yield _run(params, key, grid)
+
+
 def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult:
     """config.runs independent runs driven by keys seed, seed+1, ...
 
     Returns the per-grid-point mean trajectory and standard deviation
     (population convention), plus how many runs saw their infection hit
-    zero before the horizon.  Results depend only on (params, config),
-    never on the order runs complete.
+    zero before the horizon.  Patched ensembles of at least 100,000
+    host-runs (runs * N) spread their runs over forked workers, one per
+    usable CPU; undefended ensembles always run in this process.
+    Results depend only on (params, config), never on the split or the
+    order runs complete.
     """
     validate(params)
     validate_config(config)
@@ -205,8 +264,7 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
     acc = np.zeros((3, len(grid)))
     acc_sq = np.zeros((3, len(grid)))
     extinct = 0
-    for k in range(config.runs):
-        s, i, p, _, inf_extinct = _run(params, config.seed + k, grid)
+    for s, i, p, _, inf_extinct in _runs(params, config, grid):
         for row, arr in enumerate((s, i, p)):
             acc[row] += arr
             acc_sq[row] += arr * arr

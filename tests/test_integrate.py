@@ -25,6 +25,8 @@ from wormsim.integrate import IntegratorConfig, integrate, validate_config
         (dict(t_end_itu=10.0, dt_itu=0.0), "dt_itu"),
         (dict(t_end_itu=10.0, dt_itu=0.02), "dt_itu"),
         (dict(t_end_itu=10.0, sample_stride=0), "sample_stride"),
+        (dict(t_end_itu=10.0, sample_stride=True), "sample_stride"),
+        (dict(t_end_itu=True), "t_end_itu"),
     ],
 )
 def test_config_validation(kwargs, message):

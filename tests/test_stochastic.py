@@ -1,6 +1,8 @@
 """Exact-jump stochastic simulation, ensembles, and detection sampling."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from wormsim.stochastic import (
         (dict(t_end_itu=5.0, seed=1, sample_dt_itu=0.0), "sample_dt_itu"),
         (dict(t_end_itu=5.0, seed=1, runs=0), "runs"),
         (dict(t_end_itu=5.0, seed=-1), "seed"),
+        (dict(t_end_itu=5.0, seed=1, runs=True), "runs"),
+        (dict(t_end_itu=5.0, seed=True), "seed"),
     ],
 )
 def test_config_validation(kwargs, message):
@@ -134,6 +138,85 @@ def test_ensemble_mean_is_run_average():
     assert res.runs_used == 3
     assert res.extinct_before_end == 3
     assert res.mean.source is TrajectorySource.ENSEMBLE_MEAN
+
+
+_POOL_CASES = [
+    ScenarioParams(
+        n_hosts=2000, virulence=1.0, i0=5,
+        defense=DefenseKind.FIXED_SERVERS, gamma=1.5, p_bar=5,
+    ),
+    ScenarioParams(
+        n_hosts=2000, virulence=1.0, i0=5,
+        defense=DefenseKind.PEER_TO_PEER, gamma=2.0, p_bar=5,
+    ),
+]
+
+
+def _same_ensemble(a, b):
+    arrays = [(a.mean.t_itu, b.mean.t_itu), (a.s_std, b.s_std),
+              (a.i_std, b.i_std), (a.p_std, b.p_std)]
+    arrays += [(getattr(a.mean, c), getattr(b.mean, c)) for c in "sip"]
+    return (all(np.array_equal(x, y) for x, y in arrays)
+            and a.runs_used == b.runs_used
+            and a.extinct_before_end == b.extinct_before_end)
+
+
+@pytest.mark.parametrize("params", _POOL_CASES, ids=["fixed", "p2p"])
+def test_pooled_ensemble_matches_serial(monkeypatch, params):
+    # Five runs: more runs than CPUs, and an odd count.
+    cfg = StochasticConfig(t_end_itu=20.0, seed=21, runs=5)
+    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", math.inf)
+    serial = ensemble(params, cfg)
+    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", 0)
+    pooled = ensemble(params, cfg)
+    assert _same_ensemble(pooled, serial)
+    stack = np.stack(
+        [simulate(params, StochasticConfig(t_end_itu=20.0, seed=21 + k)).i
+         for k in range(5)]
+    )
+    assert np.array_equal(pooled.mean.i, stack.sum(axis=0) / 5.0)
+
+
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_serial_run = stochastic._run
+
+
+def _run_tagged_with_pid(params, run_key, grid):
+    s, i, p, _, extinct = _serial_run(params, run_key, grid)
+    return s, i, p, os.getpid(), extinct
+
+
+@pytest.mark.skipif(not _CAN_FORK or _CPUS < 2, reason="needs fork and 2 CPUs")
+def test_large_patched_ensemble_runs_in_workers(monkeypatch):
+    cfg = StochasticConfig(t_end_itu=20.0, seed=21, runs=5)
+    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", 0)
+    monkeypatch.setattr(stochastic, "_run", _run_tagged_with_pid)
+    grid = stochastic._grid(cfg)
+    pids = {r[3] for r in stochastic._runs(_POOL_CASES[0], cfg, grid)}
+    assert pids and os.getpid() not in pids
+    undefended = ScenarioParams(
+        n_hosts=2000, virulence=1.0, i0=5, defense=DefenseKind.NO_PATCHING
+    )
+    pids = {r[3] for r in stochastic._runs(undefended, cfg, grid)}
+    assert pids == {os.getpid()}
+
+
+def _ensemble_in_pool_worker(params):
+    return ensemble(params, StochasticConfig(t_end_itu=20.0, seed=21, runs=5))
+
+
+@pytest.mark.skipif(not _CAN_FORK, reason="needs fork")
+def test_ensemble_inside_pool_worker_runs_in_process(monkeypatch):
+    # A daemonic pool worker may not fork workers of its own; ensemble
+    # must fall back to running its runs in that worker.
+    params = _POOL_CASES[1]
+    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", 0)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = pool.apply_async(_ensemble_in_pool_worker, (params,)).get(timeout=60)
+    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", math.inf)
+    assert _same_ensemble(got, _ensemble_in_pool_worker(params))
 
 
 def test_ensemble_mean_approaches_fluid_with_population():
