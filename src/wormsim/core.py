@@ -87,9 +87,9 @@ def validate(params: ScenarioParams) -> ScenarioParams:
     """
     if not _is_count(params.n_hosts) or params.n_hosts <= 0:
         raise ScenarioError("n_hosts must be a positive integer")
-    if not np.isfinite(params.virulence) or params.virulence <= 0:
+    if not _is_positive(params.virulence):
         raise ScenarioError("virulence must be positive")
-    if not np.isfinite(params.gamma) or params.gamma <= 0:
+    if not _is_positive(params.gamma):
         raise ScenarioError("gamma must be positive")
     if not _is_count(params.i0) or params.i0 < 1:
         raise ScenarioError("i0 must be an integer >= 1")

@@ -1,5 +1,6 @@
 """Exact-jump stochastic simulation, ensembles, and detection sampling."""
 
+import copy
 import math
 import multiprocessing
 import os
@@ -315,10 +316,11 @@ def test_scan_counts_match_expected_cumulative():
 
 # --- reference implementations ------------------------------------------
 #
-# Straightforward numpy-scalar versions of the patched event loop and of
-# the telescope samplers (hazard over every jump, horizon or not).  The
-# optimized engine must reproduce them bit for bit, because seeded values
-# are frozen elsewhere in the suite and in saved outputs.
+# Straightforward numpy-scalar versions of the patched event loop, of the
+# undefended run, and of the telescope samplers (every jump time summed,
+# hazard over every jump, horizon or not).  The optimized engine must
+# reproduce them bit for bit, because seeded values are frozen elsewhere
+# in the suite and in saved outputs.
 
 
 class _RefUniformBuffer:
@@ -454,13 +456,28 @@ def test_event_loop_matches_reference(params, cfg, check):
     assert got[4] == want[4]
 
 
+def _ref_infection_jumps(params, gen):
+    """The full jump path: every one of the N - i0 jump times."""
+    n, i0 = params.n_hosts, params.i0
+    levels = np.arange(i0, n, dtype=float)
+    rates = levels * (n - levels) / n
+    return np.cumsum(gen.exponential(1.0, size=n - i0) / rates)
+
+
+def _ref_run_no_patch(params, gen, grid):
+    jumps = _ref_infection_jumps(params, gen)
+    i = params.i0 + np.searchsorted(jumps, grid, side="right").astype(float)
+    halt = float(jumps[-1]) if jumps[-1] <= grid[-1] else None
+    return params.n_hosts - i, i, np.zeros_like(i), halt
+
+
 def _ref_first_hits(params, monitors, config):
     c = monitors / params.n_hosts
     t_end = config.t_end_itu
     out = np.empty(config.runs)
     for k in range(config.runs):
         gen = stochastic._rng(config.seed + k)
-        jumps = stochastic._infection_jumps(params, gen)
+        jumps = _ref_infection_jumps(params, gen)
         target = gen.exponential(1.0)
         jumps_in = jumps[jumps < t_end]
         h_jumps = stochastic._hazard_at(jumps_in, jumps, params.i0, c)
@@ -472,27 +489,103 @@ def _ref_first_hits(params, monitors, config):
     return out
 
 
+def _ref_scan_counts(params, monitors, config):
+    grid = stochastic._grid(config)
+    c = monitors / params.n_hosts
+    counts = np.zeros((config.runs, len(grid)), dtype=np.int64)
+    for k in range(config.runs):
+        gen = stochastic._rng(config.seed + k)
+        jumps = _ref_infection_jumps(params, gen)
+        hazard = stochastic._hazard_at(grid, jumps, params.i0, c)
+        counts[k, 1:] = np.cumsum(gen.poisson(np.diff(hazard)))
+    return grid, counts
+
+
 @pytest.mark.parametrize("monitors,t_end", [(1086, 2.22), (30, 9.0), (5000, 40.0)])
 def test_telescope_prefix_matches_full_jump_hazard(monkeypatch, monitors, t_end):
-    # Every hazard the samplers evaluate on their in-horizon jump prefix
-    # must equal the hazard over the run's full jump path.
+    # Both samplers must reproduce the full-path references exactly, and
+    # every jump prefix and hazard they use must agree with the full path.
     params = _undefended(10000)
     cfg = StochasticConfig(t_end_itu=t_end, seed=11, runs=40)
-    want = _ref_first_hits(params, monitors, cfg)
+    want_hits = _ref_first_hits(params, monitors, cfg)
+    want_grid, want_counts = _ref_scan_counts(params, monitors, cfg)
     infection_jumps, hazard_at = stochastic._infection_jumps, stochastic._hazard_at
     full = []
 
-    def recording_jumps(params, gen):
-        full.append(infection_jumps(params, gen))
-        return full[-1]
+    def checked_jumps(params, gen, horizon):
+        full.append(_ref_infection_jumps(params, copy.deepcopy(gen)))
+        got = infection_jumps(params, gen, horizon)
+        assert np.array_equal(got, full[-1][: len(got)])
+        assert got[-1] > horizon or len(got) == len(full[-1])
+        return got
 
     def checked_hazard(times, jumps, i0, c):
         got = hazard_at(times, jumps, i0, c)
         assert np.array_equal(got, hazard_at(times, full[-1], i0, c))
         return got
 
-    monkeypatch.setattr(stochastic, "_infection_jumps", recording_jumps)
+    monkeypatch.setattr(stochastic, "_infection_jumps", checked_jumps)
     monkeypatch.setattr(stochastic, "_hazard_at", checked_hazard)
-    assert np.array_equal(detection_sim(params, monitors, cfg), want)
-    monitor_scan_counts(params, monitors, cfg)
+    assert np.array_equal(detection_sim(params, monitors, cfg), want_hits)
+    grid, counts = monitor_scan_counts(params, monitors, cfg)
+    assert np.array_equal(grid, want_grid)
+    assert np.array_equal(counts, want_counts)
     assert len(full) == 2 * cfg.runs
+
+
+@pytest.mark.parametrize(
+    "n,i0,horizon,size",
+    [
+        (10000, 1, 0.0, 64),
+        (10000, 1, "below-64th", 64),
+        (10000, 1, "64th", 9999),
+        (10000, 1, math.inf, 9999),
+        (50, 1, 0.0, 49),
+        (10, 9, 0.0, 1),
+        (10, 9, math.inf, 1),
+    ],
+    ids=["zero", "below-64th", "at-64th", "inf", "short-path", "one-jump-zero",
+         "one-jump-inf"],
+)
+def test_infection_jumps_prefix(n, i0, horizon, size):
+    # The returned prefix is the start of the full path and ends past the
+    # horizon unless it is the full path; the stream ends where the full
+    # path leaves it.
+    params = ScenarioParams(
+        n_hosts=n, virulence=1.0, i0=i0, defense=DefenseKind.NO_PATCHING
+    )
+    ref_gen = stochastic._rng(3)
+    ref = _ref_infection_jumps(params, ref_gen)
+    if horizon == "64th":
+        horizon = ref[63]
+    elif horizon == "below-64th":
+        horizon = np.nextafter(ref[63], 0.0)
+    gen = stochastic._rng(3)
+    got = stochastic._infection_jumps(params, gen, horizon)
+    assert len(got) == size
+    assert np.array_equal(got, ref[:size])
+    assert gen.random() == ref_gen.random()
+
+
+def test_undefended_runs_match_reference():
+    # A saturating run: the full path, and halt_itu at its last jump.
+    params = _undefended(300)
+    cfg = StochasticConfig(t_end_itu=25.0, seed=4, runs=6)
+    grid = stochastic._grid(cfg)
+    refs = [
+        _ref_run_no_patch(params, stochastic._rng(cfg.seed + k), grid)
+        for k in range(cfg.runs)
+    ]
+    traj = simulate(params, cfg)
+    s, i, p, halt = refs[0]
+    assert halt is not None
+    assert traj.halt_itu == halt
+    for got, want in zip((traj.s, traj.i, traj.p), (s, i, p)):
+        assert np.array_equal(got, want)
+    res = ensemble(params, cfg)
+    for row, got in enumerate((res.mean.s, res.mean.i, res.mean.p)):
+        acc = np.zeros(len(grid))
+        for ref in refs:
+            acc += ref[row]
+        assert np.array_equal(got, acc / cfg.runs)
+    assert res.extinct_before_end == 0
