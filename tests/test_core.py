@@ -61,11 +61,11 @@ def test_validate_accepts_and_returns_params(codered_fixed):
         (dict(virulence=float("inf")), "virulence"),
         (dict(gamma=0.0), "gamma"),
         (dict(gamma=-1.0), "gamma"),
-        (dict(virulence=True), "virulence"),
-        (dict(gamma=True), "gamma"),
         (dict(i0=0), "i0"),
         (dict(p_bar=0), "p_bar"),
         (dict(i0=359990, p_bar=25), "i0 \\+ p_bar"),
+        (dict(virulence=True), "virulence"),
+        (dict(gamma=True), "gamma"),
     ],
 )
 def test_validate_rejects_bad_params(codered_fixed, overrides, message):
