@@ -242,6 +242,8 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
         validate(params)
     except ScenarioError as exc:
         raise ConfigError(f"params: {exc}")
+    if defense is DefenseKind.FIXED_SERVERS and params.n_hosts <= 2 * params.p_bar:
+        raise ConfigError("params: fixed servers need n_hosts > 2 * p_bar")
 
     engines = config.get("engines", ["closed_form", "integrate"])
     if isinstance(engines, str):

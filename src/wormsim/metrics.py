@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory
+from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory, validate
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class SummaryMetrics:
 
 
 def _require_defense(params: ScenarioParams, kind: DefenseKind, what: str) -> None:
+    """Validate ``params`` and require the defense a predictor is for."""
+    validate(params)
     if params.defense is not kind:
         raise ValueError(f"{what} applies to {kind.value} scenarios only")
 
@@ -68,8 +70,10 @@ def fixed_peak_time(params: ScenarioParams) -> TimeValue:
 
 
 def fixed_extinction_time(params: ScenarioParams) -> TimeValue:
-    """Time for fixed servers to patch everything: (N - 2*Pb)/(g*Pb)."""
+    """Time for fixed servers to patch everything: (N - 2*Pb)/(g*Pb), N > 2*Pb."""
     _require_defense(params, DefenseKind.FIXED_SERVERS, "fixed_extinction_time")
+    if params.n_hosts <= 2 * params.p_bar:
+        raise ValueError("fixed_extinction_time needs n_hosts > 2 * p_bar")
     t = (params.n_hosts - 2.0 * params.p_bar) / (params.gamma * params.p_bar)
     return TimeValue.from_itu(t, params)
 

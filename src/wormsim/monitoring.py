@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DefenseKind, ScenarioParams
+from .core import DefenseKind, ScenarioParams, _is_count, validate
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,11 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
 
     M_bar(t) = monitors * ln(1 + (I0/N) * (e^t - 1)), evaluated in
     log-sum form so large t cannot overflow.  Accepts scalar or array t.
+    Raises ValueError unless ``monitors`` is an integer >= 1.
     """
+    validate(params)
+    if not _is_count(monitors) or monitors < 1:
+        raise ValueError("monitors must be an integer >= 1")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("t must be >= 0")
@@ -55,6 +59,7 @@ def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> Monit
     Raises ValueError if even monitoring every host cannot get there
     (deadline too early for the worm to have scanned enough).
     """
+    validate(params)
     if not np.isfinite(deadline_itu) or deadline_itu <= 0.0:
         raise ValueError("deadline_itu must be positive")
     per_monitor = expected_scans(deadline_itu, params, 1)
@@ -76,10 +81,10 @@ def thumb_rule_monitors(n_hosts: int, regime: DefenseKind) -> int:
 
     ceil(N / ln N) for fixed-capacity patching (lead time ~ln N) and
     ceil(N / ln ln N) for peer-to-peer patching (lead time ~ln ln N).
-    Requires n_hosts >= 3 so both logarithms are positive.
+    Requires an integer n_hosts >= 3 so both logarithms are positive.
     """
-    if n_hosts < 3:
-        raise ValueError("n_hosts must be >= 3")
+    if not _is_count(n_hosts) or n_hosts < 3:
+        raise ValueError("n_hosts must be an integer >= 3")
     if regime is DefenseKind.FIXED_SERVERS:
         return math.ceil(n_hosts / math.log(n_hosts))
     if regime is DefenseKind.PEER_TO_PEER:

@@ -86,6 +86,10 @@ def test_resolve_scenario_defaults():
         (lambda c: c.update(extinction_threshold=-1.0), "extinction_threshold"),
         (lambda c: c.update(compare_tolerance=0.0), "compare_tolerance"),
         (lambda c: c["params"].update(i0=20000), "params"),
+        (
+            lambda c: c["params"].update(defense="fixed_servers", gamma=1.0, p_bar=5000),
+            "n_hosts > 2 \\* p_bar",
+        ),
     ],
 )
 def test_resolve_scenario_rejects(mutate, fragment):

@@ -6,9 +6,11 @@ import pytest
 from wormsim import fluid
 from wormsim.core import (
     DefenseKind,
+    PopulationState,
     ScenarioParams,
     TrajectorySource,
     conservation_error,
+    initial_state,
     validate_trajectory,
 )
 from wormsim.integrate import IntegratorConfig, integrate, validate_config
@@ -97,6 +99,88 @@ def test_fourth_order_convergence(codered_nopatch):
     # halving dt should cut the error by ~2^4
     assert errs[0] / errs[1] > 12.0
     assert errs[1] / errs[2] > 12.0
+
+
+@pytest.mark.parametrize("fixture,t_end", [("codered_p2p_g2", 9.0), ("codered_fixed", 12.0)])
+def test_fourth_order_self_convergence(request, fixture, t_end):
+    # The patched closed forms start O(I0/N) off I0, so the error against
+    # them stays flat as dt shrinks; compare successive halvings instead,
+    # sampled at the same times.
+    params = request.getfixturevalue(fixture)
+    runs = [
+        integrate(params, IntegratorConfig(t_end_itu=t_end, dt_itu=dt, sample_stride=k))
+        for dt, k in ((0.008, 1), (0.004, 2), (0.002, 4), (0.001, 8))
+    ]
+    for coarse, fine in zip(runs, runs[1:]):
+        assert coarse.halt_itu is None and fine.halt_itu is None
+        np.testing.assert_allclose(coarse.t_itu, fine.t_itu, rtol=0, atol=1e-9)
+    gaps = [np.max(np.abs(a.i - b.i)) for a, b in zip(runs, runs[1:])]
+    # halving dt should cut the gap by ~2^4
+    assert gaps[0] / gaps[1] > 12.0
+    assert gaps[1] / gaps[2] > 12.0
+
+
+# --- the kernel's inline right-hand side ---------------------------------
+
+
+def _rhs_step(y, params, dt):
+    """One RK4 step from state y by fluid.rhs, in the kernel's expression order."""
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def stage(k, h):
+        state = PopulationState(y.s + h * k.ds_dt, y.i + h * k.di_dt, y.p + h * k.dp_dt)
+        return fluid.rhs(state, params)
+
+    k1 = fluid.rhs(y, params)
+    k2 = stage(k1, half)
+    k3 = stage(k2, half)
+    k4 = stage(k3, dt)
+    return tuple(
+        x + sixth * (getattr(k1, f) + 2.0 * (getattr(k2, f) + getattr(k3, f)) + getattr(k4, f))
+        for x, f in ((y.s, "ds_dt"), (y.i, "di_dt"), (y.p, "dp_dt"))
+    )
+
+
+@pytest.fixture
+def saturated_fixed():
+    # S + I = 2 < p_bar = 98 servers: the workforce is capped at gamma * (S + I)
+    return ScenarioParams(
+        n_hosts=100, virulence=1.0, i0=1,
+        defense=DefenseKind.FIXED_SERVERS, gamma=2.0, p_bar=98,
+    )
+
+
+@pytest.mark.parametrize(
+    "fixture", ["codered_nopatch", "codered_p2p_g2", "codered_fixed", "saturated_fixed"]
+)
+def test_kernel_step_equals_rhs_step(request, fixture):
+    params = request.getfixturevalue(fixture)
+    dt = 0.01
+    one = integrate(params, IntegratorConfig(t_end_itu=dt, dt_itu=dt, sample_stride=1))
+    assert len(one) == 2 and one.t_itu[1] == dt
+    assert one.state_at(1) == PopulationState(*_rhs_step(one.state_at(0), params, dt))
+    # Then every step of a whole run, each from the state the kernel
+    # reached, up to the first that ends in the kernel's flush to zero or
+    # meets the fixed-servers rest state S + I = 0.  Most reorderings of
+    # the float operations show only in a few steps of a run.
+    traj = integrate(params, IntegratorConfig(t_end_itu=60.0, dt_itu=dt, sample_stride=1))
+    tied = 0
+    for k in range(len(traj) - 1):
+        try:
+            step = _rhs_step(traj.state_at(k), params, dt)
+        except ValueError:
+            break
+        if any(x < 1e-30 and x != 0.0 for x in step):
+            break
+        assert traj.state_at(k + 1) == PopulationState(*step), f"step {k + 1}"
+        tied += 1
+    assert tied > 30
+
+
+def test_diverging_state_raises_at_first_bad_step(codered_p2p_g2):
+    params = codered_p2p_g2.with_overrides(gamma=1e300)
+    with pytest.raises(RuntimeError, match="at step 1$"):
+        integrate(params, IntegratorConfig(t_end_itu=1.0))
 
 
 # --- halting ------------------------------------------------------------

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from wormsim.core import DefenseKind, ScenarioParams, Trajectory, TrajectorySource
+from wormsim.core import (
+    DefenseKind,
+    ScenarioError,
+    ScenarioParams,
+    Trajectory,
+    TrajectorySource,
+)
 from wormsim.integrate import IntegratorConfig, integrate
 from wormsim.metrics import (
     default_extinction_threshold,
@@ -95,6 +101,40 @@ def test_p2p_extinction_time(codered_p2p_g1, codered_p2p_g2):
     assert p2p_extinction_time(codered_p2p_g2).itu == pytest.approx(
         0.75 * np.log(360000), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "predictor,defense,overrides",
+    [
+        (lambda p: spread_time(p, 0.5), DefenseKind.NO_PATCHING, dict(i0=100)),
+        (fixed_peak_time, DefenseKind.FIXED_SERVERS, dict(gamma=-1.0)),
+        (fixed_extinction_time, DefenseKind.FIXED_SERVERS, dict(p_bar=0)),
+        (p2p_peak_time, DefenseKind.PEER_TO_PEER, dict(p_bar=200)),
+        (p2p_peak_infected, DefenseKind.PEER_TO_PEER, dict(gamma=True)),
+        (p2p_extinction_time, DefenseKind.PEER_TO_PEER, dict(n_hosts=100.0)),
+    ],
+    ids=[
+        "spread_time", "fixed_peak_time", "fixed_extinction_time",
+        "p2p_peak_time", "p2p_peak_infected", "p2p_extinction_time",
+    ],
+)
+def test_predictors_validate_params(predictor, defense, overrides):
+    params = ScenarioParams(
+        n_hosts=100, virulence=1.0, i0=1, defense=defense, gamma=2.0, p_bar=10
+    )
+    predictor(params)
+    with pytest.raises(ScenarioError):
+        predictor(params.with_overrides(**overrides))
+
+
+def test_fixed_extinction_time_needs_more_hosts_than_twice_the_servers():
+    params = ScenarioParams(
+        n_hosts=100, virulence=1.0, i0=1,
+        defense=DefenseKind.FIXED_SERVERS, gamma=1.0, p_bar=60,
+    )
+    with pytest.raises(ValueError, match="n_hosts > 2 \\* p_bar"):
+        fixed_extinction_time(params)
+    assert fixed_extinction_time(params.with_overrides(n_hosts=121)).itu > 0.0
 
 
 def test_default_extinction_threshold(codered_nopatch, codered_fixed, codered_p2p_g1):

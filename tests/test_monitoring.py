@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wormsim.core import DefenseKind, ScenarioParams
+from wormsim.core import DefenseKind, ScenarioError, ScenarioParams
 from wormsim.monitoring import (
     expected_scans,
     monitors_for_detection,
@@ -77,6 +77,36 @@ def test_thumb_rule_domain():
         thumb_rule_monitors(2, DefenseKind.FIXED_SERVERS)
     with pytest.raises(ValueError):
         thumb_rule_monitors(85000, DefenseKind.NO_PATCHING)
+
+
+@pytest.mark.parametrize("monitors", [-7, 0, 10.5, True, 2.0])
+def test_expected_scans_rejects_bad_monitor_count(slammer, monitors):
+    with pytest.raises(ValueError, match="monitors"):
+        expected_scans(2.42, slammer, monitors)
+
+
+def test_expected_scans_accepts_numpy_count(slammer):
+    assert expected_scans(2.42, slammer, np.int64(500)) == expected_scans(2.42, slammer, 500)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: expected_scans(1.0, p, 10),
+        lambda p: monitors_for_detection(p, 2.42),
+    ],
+    ids=["expected_scans", "monitors_for_detection"],
+)
+@pytest.mark.parametrize("overrides", [dict(i0=0), dict(virulence=-1.5), dict(n_hosts=True)])
+def test_sizing_validates_params(slammer, call, overrides):
+    with pytest.raises(ScenarioError):
+        call(slammer.with_overrides(**overrides))
+
+
+@pytest.mark.parametrize("n_hosts", [10.5, 85000.0, True, "85000"])
+def test_thumb_rule_rejects_non_integer_population(n_hosts):
+    with pytest.raises(ValueError, match="n_hosts"):
+        thumb_rule_monitors(n_hosts, DefenseKind.FIXED_SERVERS)
 
 
 def test_sizing_consistent_with_thumb_rule(slammer):
