@@ -29,14 +29,13 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .core import (
     DefenseKind,
-    ScenarioError,
     ScenarioParams,
     TimeValue,
     Trajectory,
@@ -47,6 +46,7 @@ from .fluid import closed_form_trajectory, fixed_validity_window
 from .integrate import IntegratorConfig, integrate
 from .integrate import validate_config as validate_integrator_config
 from .metrics import (
+    SummaryMetrics,
     default_extinction_threshold,
     fixed_extinction_time,
     fixed_peak_time,
@@ -64,25 +64,6 @@ from .stochastic import validate_config as validate_stochastic_config
 ENGINE_NAMES = ("closed_form", "integrate", "stochastic")
 
 TIME_UNITS = ("second", "minute", "hour", "day")
-
-_TOP_KEYS = frozenset(
-    {
-        "name",
-        "description",
-        "params",
-        "engines",
-        "integrator",
-        "stochastic",
-        "kappa",
-        "extinction_threshold",
-        "compare_tolerance",
-        "monitors",
-    }
-)
-_PARAM_KEYS = frozenset({"n_hosts", "virulence", "i0", "defense", "gamma", "p_bar"})
-_INTEGRATOR_KEYS = frozenset({"t_end_itu", "dt_itu", "sample_stride"})
-_STOCHASTIC_KEYS = frozenset({"t_end_itu", "sample_dt_itu", "runs", "seed"})
-_MONITOR_KEYS = frozenset({"deadline_itu", "count"})
 
 
 class ConfigError(Exception):
@@ -140,13 +121,7 @@ def _require_mapping(obj, where: str) -> dict:
     return obj
 
 
-def _reject_unknown(block: dict, allowed: frozenset, where: str) -> None:
-    unknown = sorted(str(k) for k in block if k not in allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown key '{unknown[0]}' in {where}; allowed: "
-            + ", ".join(sorted(allowed))
-        )
+# Config readers: each takes (raw value, dotted key) and returns the value.
 
 
 def _as_int(value, where: str) -> int:
@@ -162,6 +137,134 @@ def _as_float(value, where: str) -> float:
     if not math.isfinite(out):
         raise ConfigError(f"{where} must be finite")
     return out
+
+
+def _as_positive(value, where: str) -> float:
+    out = _as_float(value, where)
+    if out <= 0.0:
+        raise ConfigError(f"{where} must be positive")
+    return out
+
+
+def _as_defense(value, _where: str) -> DefenseKind:
+    try:
+        return DefenseKind(value)
+    except ValueError:
+        raise ConfigError(
+            f"unknown defense {value!r}; expected one of "
+            + ", ".join(kind.value for kind in DefenseKind)
+        )
+
+
+def _as_engines(value, where: str) -> tuple:
+    engines = [value] if isinstance(value, str) else value
+    if not isinstance(engines, list) or not engines:
+        raise ConfigError(f"{where} must be a non-empty list")
+    for engine in engines:
+        if engine not in ENGINE_NAMES:
+            raise ConfigError(
+                f"unknown engine {engine!r}; expected one of " + ", ".join(ENGINE_NAMES)
+            )
+    return tuple(dict.fromkeys(engines))
+
+
+def _as_kappa(value, where: str) -> tuple:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = [value]
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a number or a list of numbers")
+    kappa = tuple(_as_float(item, where) for item in value)
+    if not all(0.0 < item < 1.0 for item in kappa):
+        raise ConfigError(f"{where} values must lie strictly between 0 and 1")
+    return kappa
+
+
+def _as_name(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a non-empty string")
+    return _slug(value)
+
+
+def _as_text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
+    return value
+
+
+# The schema: one table per block, mapping each allowed key to (reader,
+# default).  A missing key takes its default as is (None: unset), or is an
+# error if the default is _REQUIRED.  The nested blocks pass through the
+# top-level table unread; resolve_scenario reads each by its own table.
+
+_REQUIRED = object()
+
+
+def _nested(value, _where: str):
+    return value
+
+
+_TOP = {
+    "name": (_as_name, "scenario"),
+    "description": (_as_text, ""),
+    "params": (_nested, None),
+    "engines": (_as_engines, ("closed_form", "integrate")),
+    "integrator": (_nested, {}),
+    "stochastic": (_nested, {}),
+    "kappa": (_as_kappa, ()),
+    "extinction_threshold": (_as_positive, None),
+    "compare_tolerance": (_as_positive, 0.10),
+    "monitors": (_nested, None),
+}
+_PARAMS = {
+    "n_hosts": (_as_int, _REQUIRED),
+    "virulence": (lambda text, _where: parse_virulence(text), _REQUIRED),
+    "i0": (_as_int, _REQUIRED),
+    "defense": (_as_defense, _REQUIRED),
+    "gamma": (_as_float, 1.0),
+    "p_bar": (_as_int, 0),
+}
+_INTEGRATOR = {
+    "t_end_itu": (_as_float, 50.0),
+    "dt_itu": (_as_float, 0.001),
+    "sample_stride": (_as_int, 10),
+}
+_STOCHASTIC = {
+    "t_end_itu": (_as_float, None),
+    "seed": (_as_int, 12345),
+    "sample_dt_itu": (_as_float, 0.05),
+    "runs": (_as_int, 1),
+}
+_MONITORS = {
+    "deadline_itu": (_as_positive, None),
+    "count": (_as_int, None),
+}
+
+
+def _read_block(block, table: dict, name: str = "") -> dict:
+    """{key: value} of one config block; name "" is the top level."""
+    where = name or "scenario config"
+    block = _require_mapping(block, where)
+    unknown = sorted(str(key) for key in block if key not in table)
+    if unknown:
+        raise ConfigError(
+            f"unknown key '{unknown[0]}' in {where}; allowed: " + ", ".join(sorted(table))
+        )
+    prefix = f"{name}." if name else ""
+    for key, (_reader, default) in table.items():
+        if default is _REQUIRED and key not in block:
+            raise ConfigError(f"{prefix}{key} is required")
+    return {
+        key: reader(block[key], prefix + key) if key in block else default
+        for key, (reader, default) in table.items()
+    }
+
+
+def _checked(block: str, check, *args):
+    """check(*args), with its ValueError reported as a fault of the block."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{block}: {exc}")
 
 
 def load_config(source: str) -> dict:
@@ -213,153 +316,57 @@ def _slug(name: str) -> str:
 
 
 def resolve_scenario(config: dict) -> ResolvedScenario:
-    """Validate a raw config mapping and freeze it into run-ready form."""
-    config = _require_mapping(config, "scenario config")
-    _reject_unknown(config, _TOP_KEYS, "scenario config")
+    """Validate a raw config mapping and freeze it into run-ready form.
 
-    raw_params = _require_mapping(config.get("params"), "params")
-    _reject_unknown(raw_params, _PARAM_KEYS, "params")
-    for field in ("n_hosts", "virulence", "i0", "defense"):
-        if field not in raw_params:
-            raise ConfigError(f"params.{field} is required")
-    virulence, time_unit = parse_virulence(raw_params["virulence"])
-    try:
-        defense = DefenseKind(raw_params["defense"])
-    except ValueError:
-        raise ConfigError(
-            f"unknown defense {raw_params['defense']!r}; expected one of "
-            + ", ".join(kind.value for kind in DefenseKind)
-        )
-    params = ScenarioParams(
-        n_hosts=_as_int(raw_params["n_hosts"], "params.n_hosts"),
-        virulence=virulence,
-        i0=_as_int(raw_params["i0"], "params.i0"),
-        defense=defense,
-        gamma=_as_float(raw_params.get("gamma", 1.0), "params.gamma"),
-        p_bar=_as_int(raw_params.get("p_bar", 0), "params.p_bar"),
-    )
-    try:
-        validate(params)
-    except ScenarioError as exc:
-        raise ConfigError(f"params: {exc}")
-    if defense is DefenseKind.FIXED_SERVERS and params.n_hosts <= 2 * params.p_bar:
+    The top-level keys are read first, then the params, integrator,
+    stochastic and monitors blocks, each with the checks across its keys.
+    """
+    top = _read_block(config, _TOP)
+
+    raw = _read_block(top["params"], _PARAMS, "params")
+    virulence, time_unit = raw.pop("virulence")
+    params = _checked("params", validate, ScenarioParams(virulence=virulence, **raw))
+    if params.defense is DefenseKind.FIXED_SERVERS and params.n_hosts <= 2 * params.p_bar:
         raise ConfigError("params: fixed servers need n_hosts > 2 * p_bar")
+    undefended = params.defense is DefenseKind.NO_PATCHING
 
-    engines = config.get("engines", ["closed_form", "integrate"])
-    if isinstance(engines, str):
-        engines = [engines]
-    if not isinstance(engines, list) or not engines:
-        raise ConfigError("engines must be a non-empty list")
-    seen = []
-    for engine in engines:
-        if engine not in ENGINE_NAMES:
-            raise ConfigError(
-                f"unknown engine {engine!r}; expected one of "
-                + ", ".join(ENGINE_NAMES)
-            )
-        if engine not in seen:
-            seen.append(engine)
-    engines = tuple(seen)
+    raw = _read_block(top["integrator"], _INTEGRATOR, "integrator")
+    integrator = IntegratorConfig(**raw)
+    _checked("integrator", validate_integrator_config, integrator)
 
-    integ_block = _require_mapping(config.get("integrator", {}), "integrator")
-    _reject_unknown(integ_block, _INTEGRATOR_KEYS, "integrator")
-    integrator = IntegratorConfig(
-        t_end_itu=_as_float(integ_block.get("t_end_itu", 50.0), "integrator.t_end_itu"),
-        dt_itu=_as_float(integ_block.get("dt_itu", 0.001), "integrator.dt_itu"),
-        sample_stride=_as_int(
-            integ_block.get("sample_stride", 10), "integrator.sample_stride"
-        ),
-    )
-    try:
-        validate_integrator_config(integrator)
-    except ValueError as exc:
-        raise ConfigError(f"integrator: {exc}")
+    raw = _read_block(top["stochastic"], _STOCHASTIC, "stochastic")
+    if raw["t_end_itu"] is None:
+        raw["t_end_itu"] = integrator.t_end_itu
+    stochastic = StochasticConfig(**raw)
+    _checked("stochastic", validate_stochastic_config, stochastic)
 
-    stoch_block = _require_mapping(config.get("stochastic", {}), "stochastic")
-    _reject_unknown(stoch_block, _STOCHASTIC_KEYS, "stochastic")
-    stochastic = StochasticConfig(
-        t_end_itu=_as_float(
-            stoch_block.get("t_end_itu", integrator.t_end_itu), "stochastic.t_end_itu"
-        ),
-        seed=_as_int(stoch_block.get("seed", 12345), "stochastic.seed"),
-        sample_dt_itu=_as_float(
-            stoch_block.get("sample_dt_itu", 0.05), "stochastic.sample_dt_itu"
-        ),
-        runs=_as_int(stoch_block.get("runs", 1), "stochastic.runs"),
-    )
-    try:
-        validate_stochastic_config(stochastic)
-    except ValueError as exc:
-        raise ConfigError(f"stochastic: {exc}")
-
-    raw_kappa = config.get("kappa", [])
-    if isinstance(raw_kappa, (int, float)) and not isinstance(raw_kappa, bool):
-        raw_kappa = [raw_kappa]
-    if not isinstance(raw_kappa, list):
-        raise ConfigError("kappa must be a number or a list of numbers")
-    kappa = []
-    for value in raw_kappa:
-        value = _as_float(value, "kappa")
-        if not 0.0 < value < 1.0:
-            raise ConfigError("kappa values must lie strictly between 0 and 1")
-        kappa.append(value)
-    if kappa and params.defense is not DefenseKind.NO_PATCHING:
+    if top["kappa"] and not undefended:
         raise ConfigError("kappa spread levels apply only to defense no_patching")
-
-    if "extinction_threshold" in config:
-        threshold = _as_float(config["extinction_threshold"], "extinction_threshold")
-        if threshold <= 0.0:
-            raise ConfigError("extinction_threshold must be positive")
-    else:
+    threshold = top["extinction_threshold"]
+    if threshold is None:
         threshold = default_extinction_threshold(params)
 
-    tolerance = _as_float(config.get("compare_tolerance", 0.10), "compare_tolerance")
-    if tolerance <= 0.0:
-        raise ConfigError("compare_tolerance must be positive")
-
-    monitors = None
-    if "monitors" in config:
-        block = _require_mapping(config["monitors"], "monitors")
-        _reject_unknown(block, _MONITOR_KEYS, "monitors")
-        if params.defense is not DefenseKind.NO_PATCHING:
+    monitors = top["monitors"]
+    if monitors is not None:
+        raw = _read_block(monitors, _MONITORS, "monitors")
+        if not undefended:
             raise ConfigError(
                 "monitors block models undefended growth; defense must be no_patching"
             )
-        monitors = {}
-        if "deadline_itu" in block:
-            deadline = _as_float(block["deadline_itu"], "monitors.deadline_itu")
-            if deadline <= 0.0:
-                raise ConfigError("monitors.deadline_itu must be positive")
-            monitors["deadline_itu"] = deadline
-        if "count" in block:
-            count = _as_int(block["count"], "monitors.count")
-            if not 1 <= count <= params.n_hosts:
-                raise ConfigError("monitors.count must be in [1, n_hosts]")
-            monitors["count"] = count
+        monitors = {key: value for key, value in raw.items() if value is not None}
         if not monitors:
             raise ConfigError("monitors block needs deadline_itu and/or count")
+        if "count" in monitors and not 1 <= monitors["count"] <= params.n_hosts:
+            raise ConfigError("monitors.count must be in [1, n_hosts]")
+        # The telescope sizing that monitoring_block reports must exist.
+        _checked("monitors", thumb_rule_monitors, params.n_hosts,
+                 DefenseKind.FIXED_SERVERS)
+        if "deadline_itu" in monitors:
+            _checked("monitors", monitors_for_detection, params, monitors["deadline_itu"])
 
-    name = config.get("name", "scenario")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("name must be a non-empty string")
-    description = config.get("description", "")
-    if not isinstance(description, str):
-        raise ConfigError("description must be a string")
-
-    return ResolvedScenario(
-        name=_slug(name),
-        description=description,
-        params=params,
-        time_unit=time_unit,
-        engines=engines,
-        integrator=integrator,
-        stochastic=stochastic,
-        kappa=tuple(kappa),
-        extinction_threshold=threshold,
-        compare_tolerance=tolerance,
-        monitors=monitors,
-        config=copy.deepcopy(config),
-    )
+    top.update(params=params, integrator=integrator, stochastic=stochastic,
+               extinction_threshold=threshold, monitors=monitors)
+    return ResolvedScenario(time_unit=time_unit, config=copy.deepcopy(config), **top)
 
 
 def _closed_form_grid(scn: ResolvedScenario) -> np.ndarray:
@@ -407,29 +414,32 @@ def run_engine(scn: ResolvedScenario, engine: str):
         raise NumericalError(f"engine {engine}: {exc}") from exc
 
 
-def _time_json(scn: ResolvedScenario, t_itu: float) -> dict:
+def _itu(tv: Optional[TimeValue]) -> Optional[float]:
+    return None if tv is None else float(tv.itu)
+
+
+def _time_json(scn: ResolvedScenario, t_itu: Optional[float]) -> Optional[dict]:
+    if t_itu is None:
+        return None
     tv = TimeValue.from_itu(float(t_itu), scn.params)
     return {"itu": tv.itu, "wallclock": tv.wallclock, "unit": scn.time_unit}
 
 
-def _optional_time_json(scn: ResolvedScenario, tv: Optional[TimeValue]):
-    return None if tv is None else _time_json(scn, tv.itu)
-
-
-def measure_trajectory(scn: ResolvedScenario, traj: Trajectory) -> dict:
-    """Summary metrics for one engine's trajectory, JSON-ready."""
-    summary = summarize(traj, scn.extinction_threshold, scn.kappa)
+def measure_trajectory(
+    scn: ResolvedScenario, traj: Trajectory, summary: SummaryMetrics
+) -> dict:
+    """One engine's ``summarize`` result, JSON-ready."""
     block = {
         "peak_time": _time_json(scn, summary.peak_time.itu),
         "peak_infected": float(summary.peak_infected),
         "extinction_threshold": summary.extinction_threshold,
-        "extinction_time": _optional_time_json(scn, summary.extinction_time),
+        "extinction_time": _time_json(scn, _itu(summary.extinction_time)),
         "samples": int(len(traj.t_itu)),
-        "halt": None if traj.halt_itu is None else _time_json(scn, traj.halt_itu),
+        "halt": _time_json(scn, traj.halt_itu),
     }
     if scn.kappa:
         block["spread_time"] = {
-            f"{kappa:g}": _optional_time_json(scn, tv)
+            f"{kappa:g}": _time_json(scn, _itu(tv))
             for kappa, tv in summary.spread_times.items()
         }
     return block
@@ -463,88 +473,74 @@ def analytic_predictions(scn: ResolvedScenario) -> dict:
     return block
 
 
-def comparison_rows(scn: ResolvedScenario, measured: dict) -> list:
-    """Rows of (quantity, analytic value or None, note, {engine: value}).
+class Comparison(NamedTuple):
+    """One analytic quantity against each engine's measurement of it.
+
+    ``analytic`` is None, and ``note`` says why, where the defense has no
+    predictor.  ``measured`` maps each engine to its value or None, and
+    ``errors`` each engine with a value to its relative error.
+    """
+
+    quantity: str
+    analytic: Optional[float]
+    note: str
+    measured: dict
+    errors: dict
+
+
+def _compared_values(summary: SummaryMetrics) -> dict:
+    """Every quantity a Comparison can name, from one ``summarize`` result."""
+    values = {
+        f"spread_time_itu(kappa={kappa:g})": _itu(tv)
+        for kappa, tv in summary.spread_times.items()
+    }
+    values["peak_time_itu"] = _itu(summary.peak_time)
+    values["peak_infected"] = float(summary.peak_infected)
+    values["extinction_time_itu"] = _itu(summary.extinction_time)
+    return values
+
+
+def comparisons(scn: ResolvedScenario, analytic: dict, summaries: dict) -> list:
+    """One Comparison per predicted quantity, from each engine's ``summarize``.
 
     Times are compared in ITU; the wallclock ratio is identical.
     """
-    analytic = analytic_predictions(scn)
-    rows = []
-
-    def engine_values(pick):
-        values = {}
-        for engine, block in measured.items():
-            value = pick(block)
-            values[engine] = None if value is None else float(value)
-        return values
-
     if scn.params.defense is DefenseKind.NO_PATCHING:
-        for value in scn.kappa:
-            key = f"{value:g}"
-
-            def pick(block, key=key):
-                entry = block.get("spread_time", {}).get(key)
-                return None if entry is None else entry["itu"]
-
-            rows.append(
-                (
-                    f"spread_time_itu(kappa={key})",
-                    analytic["spread_time"][key]["itu"],
-                    "",
-                    engine_values(pick),
-                )
-            )
-        return rows
-
-    rows.append(
-        (
-            "peak_time_itu",
-            analytic["peak_time"]["itu"],
-            "",
-            engine_values(lambda block: block["peak_time"]["itu"]),
-        )
-    )
-    rows.append(
-        (
-            "peak_infected",
-            analytic.get("peak_infected"),
-            analytic.get("peak_infected_note", ""),
-            engine_values(lambda block: block["peak_infected"]),
-        )
-    )
-
-    def pick_extinction(block):
-        entry = block.get("extinction_time")
-        return None if entry is None else entry["itu"]
-
-    rows.append(
-        (
-            "extinction_time_itu",
-            analytic["extinction_time"]["itu"],
-            "",
-            engine_values(pick_extinction),
-        )
-    )
-    return rows
+        predicted = [
+            (f"spread_time_itu(kappa={key})", analytic["spread_time"][key]["itu"], "")
+            for key in (f"{kappa:g}" for kappa in scn.kappa)
+        ]
+    else:
+        predicted = [
+            ("peak_time_itu", analytic["peak_time"]["itu"], ""),
+            ("peak_infected", analytic["peak_infected"],
+             analytic.get("peak_infected_note", "")),
+            ("extinction_time_itu", analytic["extinction_time"]["itu"], ""),
+        ]
+    values = {engine: _compared_values(summary) for engine, summary in summaries.items()}
+    records = []
+    for quantity, reference, note in predicted:
+        measured = {engine: values[engine][quantity] for engine in values}
+        errors = {} if reference is None else {
+            engine: abs(value - reference) / abs(reference)
+            for engine, value in measured.items()
+            if value is not None
+        }
+        records.append(Comparison(quantity, reference, note, measured, errors))
+    return records
 
 
-def relative_errors(rows: list) -> dict:
-    """Per-engine relative error against each analytic value present."""
+def relative_errors(records: list) -> dict:
+    """The records' relative errors as {engine: {quantity: error}}."""
     out = {}
-    for quantity, reference, _note, values in rows:
-        if reference is None:
-            continue
-        for engine, value in values.items():
-            if value is None:
-                continue
-            out.setdefault(engine, {})[quantity] = abs(value - reference) / abs(
-                reference
-            )
+    for record in records:
+        for engine, error in record.errors.items():
+            out.setdefault(engine, {})[record.quantity] = error
     return out
 
 
 def monitoring_block(scn: ResolvedScenario) -> dict:
-    """Telescope sizing results for the report."""
+    """Telescope sizing results for the report (``resolve_scenario`` checked them)."""
     params = scn.params
     block = {
         "thumb_rule_monitors": {
@@ -552,14 +548,10 @@ def monitoring_block(scn: ResolvedScenario) -> dict:
             "peer_to_peer": thumb_rule_monitors(params.n_hosts, DefenseKind.PEER_TO_PEER),
         }
     }
-    mon = scn.monitors or {}
-    deadline = mon.get("deadline_itu")
-    count = mon.get("count")
+    deadline = scn.monitors.get("deadline_itu")
+    count = scn.monitors.get("count")
     if deadline is not None:
-        try:
-            plan = monitors_for_detection(params, deadline)
-        except ValueError as exc:
-            raise ConfigError(f"monitors: {exc}")
+        plan = monitors_for_detection(params, deadline)
         block["deadline"] = _time_json(scn, deadline)
         block["required_monitors"] = plan.monitors
         block["expected_scans_with_required"] = plan.expected_scans_at_deadline
@@ -578,28 +570,29 @@ class Evaluation:
 
     trajectories: dict
     measured: dict
-    rows: list
-    errors: dict
+    analytic: dict
+    comparisons: list
     worst: Optional[float]
 
 
 def evaluate(scn: ResolvedScenario) -> Evaluation:
     """Run and measure each engine; compare the measurements with the analytics."""
     trajectories = {}
+    summaries = {}
     measured = {}
     for engine in scn.engines:
         traj, extras = run_engine(scn, engine)
         trajectories[engine] = traj
-        measured[engine] = measure_trajectory(scn, traj)
+        summaries[engine] = summarize(traj, scn.extinction_threshold, scn.kappa)
+        measured[engine] = measure_trajectory(scn, traj, summaries[engine])
         if extras:
             measured[engine]["stochastic"] = extras
-    rows = comparison_rows(scn, measured)
-    errors = relative_errors(rows)
+    analytic = analytic_predictions(scn)
+    records = comparisons(scn, analytic, summaries)
     worst = max(
-        (err for per_engine in errors.values() for err in per_engine.values()),
-        default=None,
+        (error for record in records for error in record.errors.values()), default=None
     )
-    return Evaluation(trajectories, measured, rows, errors, worst)
+    return Evaluation(trajectories, measured, analytic, records, worst)
 
 
 def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
@@ -618,8 +611,8 @@ def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
             "p_bar": params.p_bar,
         },
         "engines": result.measured,
-        "analytic": analytic_predictions(scn),
-        "relative_errors": result.errors,
+        "analytic": result.analytic,
+        "relative_errors": relative_errors(result.comparisons),
         "tolerance": {
             "compare_tolerance": scn.compare_tolerance,
             "worst_relative_error": result.worst,
@@ -660,22 +653,18 @@ def _format_value(value) -> str:
     return f"{value:.6g}"
 
 
-def format_comparison_table(scn: ResolvedScenario, rows: list) -> str:
+def format_comparison_table(scn: ResolvedScenario, records: list) -> str:
     engines = list(scn.engines)
     header = ["quantity", "analytic"] + engines
     table = [header]
-    for quantity, reference, note, values in rows:
-        ref_text = note if reference is None else _format_value(reference)
-        line = [quantity, ref_text]
+    for record in records:
+        analytic = _format_value(record.analytic)
+        line = [record.quantity, record.note if record.analytic is None else analytic]
         for engine in engines:
-            value = values.get(engine)
-            if value is None:
-                line.append("-")
-            elif reference is None:
-                line.append(_format_value(value))
-            else:
-                rel = abs(value - reference) / abs(reference)
-                line.append(f"{_format_value(value)} ({100.0 * rel:.2f}%)")
+            cell = _format_value(record.measured.get(engine))
+            if engine in record.errors:
+                cell += f" ({100.0 * record.errors[engine]:.2f}%)"
+            line.append(cell)
         table.append(line)
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
     lines = [
@@ -721,10 +710,10 @@ def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
 def cmd_compare(scn: ResolvedScenario) -> int:
     result = evaluate(scn)
     print(_scenario_banner(scn))
-    if not result.rows:
+    if not result.comparisons:
         print("no analytic comparisons defined for this scenario")
         return 0
-    print(format_comparison_table(scn, result.rows))
+    print(format_comparison_table(scn, result.comparisons))
     if result.worst is None:
         print("no measured quantities to compare")
         return 0

@@ -6,9 +6,10 @@ state.  Its stages evaluate ``fluid.rhs`` inline, with no call in the
 step loop and the same float operations in the same order, so a step
 equals one written by hand from ``fluid.rhs``.  Integration halts
 early once the infected compartment falls below half a host while
-shrinking: the fluid infection is extinct at sub-host resolution and
-nothing further can change the epidemic's course.  The halt time is recorded on the
-trajectory.
+shrinking, or has been flushed to exactly zero (where it no longer
+shrinks: dI/dt is 0 there): the fluid infection is extinct at sub-host
+resolution and nothing further can change the epidemic's course.  The
+halt time is recorded on the trajectory.
 
 Fixed stepping (rather than an adaptive library solver) keeps runs
 bit-reproducible across platforms and makes the convergence order
@@ -158,7 +159,7 @@ def _rk4_kernel(fixed, g_n, n, gamma, p_bar, s, i, p, dt, n_steps, stride,
         else:
             rate = g_n * p
             d1s, d1i, d1p = -infect - rate * s, infect - rate * i, rate * (s + i)
-        halted = i < 0.5 and d1i < 0.0
+        halted = i < 0.5 and (d1i < 0.0 or i == 0.0)
         if halted or step % stride == 0 or step == n_steps:
             out_t[count] = step * dt
             out_s[count] = s

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -312,6 +313,32 @@ def test_run_monitoring_report(tmp_path):
     assert mon["expected_scans_at_deadline"] == pytest.approx(0.9027, abs=1e-4)
 
 
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        (
+            ["monitors.deadline_itu=0.000001"],
+            "monitors: deadline 1e-06 ITU needs 84999957596 monitors, "
+            "more than the population of 85000",
+        ),
+        (
+            ["params.n_hosts=2", "monitors.count=1"],
+            "monitors: n_hosts must be an integer >= 3",
+        ),
+    ],
+    ids=["deadline-too-early", "population-too-small"],
+)
+def test_monitor_faults_are_config_errors(overrides, message, tmp_path, capsys):
+    # Both verbs exit 2 before any engine runs, so run writes no file.
+    sets = [arg for assignment in overrides for arg in ("--set", assignment)]
+    out = tmp_path / "mon"
+    for verb in (["run", "--out", str(out)], ["compare"]):
+        assert main(verb + ["--config", "monitoring-slammer"] + sets) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     out = tmp_path / "seeded"
     code = main(
@@ -332,3 +359,233 @@ def test_seed_flag_overrides_config(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["engines"]["stochastic"]["stochastic"]["seed"] == 7
+
+
+# --- pinned outputs -----------------------------------------------------
+
+COMPARE_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "compare_builtins.json")
+
+
+def _compare_argv(name):
+    # 3 stochastic runs instead of the desk built-ins' 50 keep this fast.
+    extra = ["--set", "stochastic.runs=3"] if name.endswith("-desk") else []
+    return ["compare", "--config", name] + extra
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_compare_output_is_pinned(name, capsys):
+    # The golden file maps each built-in to {"exit": code, "stdout": text}
+    # of main(_compare_argv(name)); re-pin it only for a deliberate change.
+    with open(COMPARE_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)[name]
+    code = main(_compare_argv(name))
+    assert {"exit": code, "stdout": capsys.readouterr().out} == golden
+
+
+def _resolve_with(*mutations):
+    config = _nopatch_config()
+    for mutate in mutations:
+        mutate(config)
+    return lambda _tmp: resolve_scenario(config)
+
+
+def _set(block, **values):
+    return lambda c: (c if block is None else c.setdefault(block, {})).update(values)
+
+
+def _drop(key):
+    return lambda c: c["params"].pop(key)
+
+
+def _fixed(c):
+    c["params"].update(defense="fixed_servers", gamma=2.0, p_bar=10)
+
+
+def _load_file(text):
+    def load(tmp):
+        path = tmp / "bad.yaml"
+        path.write_text(text)
+        return load_config(str(path))
+
+    return load
+
+
+# (case id, action, exact text) for each ConfigError check reachable from
+# parse_virulence, load_config, apply_override and resolve_scenario.  Each
+# action takes the test's tmp_path; "{path}" stands for the file it writes.
+CONFIG_ERRORS = [
+    # parse_virulence
+    ("virulence-no-unit", lambda _t: parse_virulence("1.8"),
+     "virulence must be a string like '1.5/minute' (got '1.8'); units: second, "
+     "minute, hour, day"),
+    ("virulence-not-text", lambda _t: parse_virulence(1.8),
+     "virulence must be a string like '1.5/minute' (got 1.8); units: second, "
+     "minute, hour, day"),
+    ("virulence-rate", lambda _t: parse_virulence("fast/hour"),
+     "virulence rate 'fast' is not a number"),
+    ("virulence-unit", lambda _t: parse_virulence("1.8/fortnight"),
+     "unknown virulence time unit 'fortnight'; expected one of second, minute, "
+     "hour, day"),
+    ("virulence-nonpositive", lambda _t: parse_virulence("-2/hour"),
+     "virulence rate must be positive and finite"),
+    ("virulence-infinite", lambda _t: parse_virulence("inf/hour"),
+     "virulence rate must be positive and finite"),
+    # load_config
+    ("load-unknown", lambda _t: load_config("no-such-scenario"),
+     "'no-such-scenario' is neither a built-in scenario nor an existing file; run "
+     "'wormsim list-scenarios' for built-in names"),
+    ("load-unparsable", _load_file("params: [1\n"),
+     'cannot parse {path}: while parsing a flow sequence\n  in "{path}", line 1, '
+     'column 9\nexpected \',\' or \']\', but got \'<stream end>\'\n  in "{path}", '
+     "line 2, column 1"),
+    ("load-not-mapping", _load_file("- 1\n- 2\n"),
+     "scenario file {path} must be a mapping"),
+    # apply_override
+    ("set-no-equals", lambda _t: apply_override({}, "no_equals_sign"),
+     "--set needs KEY=VALUE (got 'no_equals_sign')"),
+    ("set-no-key", lambda _t: apply_override({}, "=5"),
+     "--set needs KEY=VALUE (got '=5')"),
+    ("set-unparsable", lambda _t: apply_override({}, "params.i0=[1"),
+     "cannot parse value in --set 'params.i0=[1': while parsing a flow sequence\n "
+     ' in "<unicode string>", line 1, column 1:\n    [1\n    ^\nexpected \',\' or '
+     '\']\', but got \'<stream end>\'\n  in "<unicode string>", line 1, column '
+     "3:\n    [1\n      ^"),
+    ("set-non-mapping", lambda _t: apply_override({"params": 3}, "params.i0=1"),
+     "--set path 'params.i0' descends into non-mapping 'params'"),
+    # resolve_scenario: top level
+    ("config-not-mapping", lambda _t: resolve_scenario([]),
+     "scenario config must be a mapping"),
+    ("top-unknown", _resolve_with(_set(None, bogus=1)),
+     "unknown key 'bogus' in scenario config; allowed: compare_tolerance, "
+     "description, engines, extinction_threshold, integrator, kappa, monitors, "
+     "name, params, stochastic"),
+    ("name-empty", _resolve_with(_set(None, name="")),
+     "name must be a non-empty string"),
+    ("name-not-text", _resolve_with(_set(None, name=5)),
+     "name must be a non-empty string"),
+    ("description-not-text", _resolve_with(_set(None, description=5)),
+     "description must be a string"),
+    # params
+    ("params-missing", _resolve_with(lambda c: c.pop("params")),
+     "params must be a mapping"),
+    ("params-not-mapping", _resolve_with(_set(None, params=[1])),
+     "params must be a mapping"),
+    ("params-unknown", _resolve_with(_set("params", extra=2)),
+     "unknown key 'extra' in params; allowed: defense, gamma, i0, n_hosts, p_bar, "
+     "virulence"),
+    ("n_hosts-required", _resolve_with(_drop("n_hosts")),
+     "params.n_hosts is required"),
+    ("virulence-required", _resolve_with(_drop("virulence")),
+     "params.virulence is required"),
+    ("i0-required", _resolve_with(_drop("i0")),
+     "params.i0 is required"),
+    ("defense-required", _resolve_with(_drop("defense")),
+     "params.defense is required"),
+    ("virulence-bad", _resolve_with(_set("params", virulence="1.8/fortnight")),
+     "unknown virulence time unit 'fortnight'; expected one of second, minute, "
+     "hour, day"),
+    ("defense-unknown", _resolve_with(_set("params", defense="carrier_pigeon")),
+     "unknown defense 'carrier_pigeon'; expected one of no_patching, "
+     "fixed_servers, peer_to_peer"),
+    ("n_hosts-not-int", _resolve_with(_set("params", n_hosts=1e4)),
+     "params.n_hosts must be an integer (got 10000.0)"),
+    ("n_hosts-bool", _resolve_with(_set("params", n_hosts=True)),
+     "params.n_hosts must be an integer (got True)"),
+    ("i0-not-int", _resolve_with(_set("params", i0="ten")),
+     "params.i0 must be an integer (got 'ten')"),
+    ("gamma-not-number", _resolve_with(_set("params", gamma="fast")),
+     "params.gamma must be a number (got 'fast')"),
+    ("gamma-infinite", _resolve_with(_set("params", gamma=float("inf"))),
+     "params.gamma must be finite"),
+    ("p_bar-not-int", _resolve_with(_set("params", p_bar=2.5)),
+     "params.p_bar must be an integer (got 2.5)"),
+    ("params-invalid", _resolve_with(_set("params", i0=20000)),
+     "params: i0 + p_bar >= n_hosts"),
+    ("fixed-too-few-hosts",
+     _resolve_with(_set("params", defense="fixed_servers", gamma=1.0, p_bar=5000)),
+     "params: fixed servers need n_hosts > 2 * p_bar"),
+    # engines
+    ("engines-empty", _resolve_with(_set(None, engines=[])),
+     "engines must be a non-empty list"),
+    ("engines-not-list", _resolve_with(_set(None, engines=5)),
+     "engines must be a non-empty list"),
+    ("engines-unknown", _resolve_with(_set(None, engines=["closed_form", "warp"])),
+     "unknown engine 'warp'; expected one of closed_form, integrate, stochastic"),
+    ("engines-unknown-text", _resolve_with(_set(None, engines="warp")),
+     "unknown engine 'warp'; expected one of closed_form, integrate, stochastic"),
+    # integrator
+    ("integrator-not-mapping", _resolve_with(_set(None, integrator=3)),
+     "integrator must be a mapping"),
+    ("integrator-unknown", _resolve_with(_set("integrator", method="rk4")),
+     "unknown key 'method' in integrator; allowed: dt_itu, sample_stride, "
+     "t_end_itu"),
+    ("integrator-t_end-not-number", _resolve_with(_set("integrator", t_end_itu="x")),
+     "integrator.t_end_itu must be a number (got 'x')"),
+    ("integrator-dt-infinite", _resolve_with(_set("integrator", dt_itu=float("nan"))),
+     "integrator.dt_itu must be finite"),
+    ("integrator-stride-not-int", _resolve_with(_set("integrator", sample_stride=2.0)),
+     "integrator.sample_stride must be an integer (got 2.0)"),
+    ("integrator-invalid", _resolve_with(_set("integrator", dt_itu=0.5)),
+     "integrator: dt_itu must be <= 0.01 ITU"),
+    # stochastic
+    ("stochastic-not-mapping", _resolve_with(_set(None, stochastic="x")),
+     "stochastic must be a mapping"),
+    ("stochastic-unknown", _resolve_with(_set("stochastic", workers=2)),
+     "unknown key 'workers' in stochastic; allowed: runs, sample_dt_itu, seed, "
+     "t_end_itu"),
+    ("stochastic-t_end-not-number", _resolve_with(_set("stochastic", t_end_itu=None)),
+     "stochastic.t_end_itu must be a number (got None)"),
+    ("stochastic-seed-not-int", _resolve_with(_set("stochastic", seed=1.5)),
+     "stochastic.seed must be an integer (got 1.5)"),
+    ("stochastic-sample_dt-not-number",
+     _resolve_with(_set("stochastic", sample_dt_itu=[])),
+     "stochastic.sample_dt_itu must be a number (got [])"),
+    ("stochastic-runs-not-int", _resolve_with(_set("stochastic", runs="many")),
+     "stochastic.runs must be an integer (got 'many')"),
+    ("stochastic-invalid", _resolve_with(_set("stochastic", runs=0)),
+     "stochastic: runs must be an integer >= 1"),
+    # kappa, extinction_threshold, compare_tolerance
+    ("kappa-not-list", _resolve_with(_set(None, kappa="half")),
+     "kappa must be a number or a list of numbers"),
+    ("kappa-not-number", _resolve_with(_set(None, kappa=[0.5, "x"])),
+     "kappa must be a number (got 'x')"),
+    ("kappa-out-of-range", _resolve_with(_set(None, kappa=1.5)),
+     "kappa values must lie strictly between 0 and 1"),
+    ("kappa-needs-no-patching", _resolve_with(_fixed, _set(None, kappa=[0.5])),
+     "kappa spread levels apply only to defense no_patching"),
+    ("threshold-not-number", _resolve_with(_set(None, extinction_threshold="1")),
+     "extinction_threshold must be a number (got '1')"),
+    ("threshold-nonpositive", _resolve_with(_set(None, extinction_threshold=-1.0)),
+     "extinction_threshold must be positive"),
+    ("tolerance-not-number", _resolve_with(_set(None, compare_tolerance=True)),
+     "compare_tolerance must be a number (got True)"),
+    ("tolerance-nonpositive", _resolve_with(_set(None, compare_tolerance=0.0)),
+     "compare_tolerance must be positive"),
+    # monitors
+    ("monitors-not-mapping", _resolve_with(_set(None, monitors=2.0)),
+     "monitors must be a mapping"),
+    ("monitors-unknown", _resolve_with(_set("monitors", size=5)),
+     "unknown key 'size' in monitors; allowed: count, deadline_itu"),
+    ("monitors-needs-no-patching", _resolve_with(_fixed, _set("monitors", count=5)),
+     "monitors block models undefended growth; defense must be no_patching"),
+    ("monitors-deadline-not-number", _resolve_with(_set("monitors", deadline_itu="soon")),
+     "monitors.deadline_itu must be a number (got 'soon')"),
+    ("monitors-deadline-nonpositive", _resolve_with(_set("monitors", deadline_itu=0)),
+     "monitors.deadline_itu must be positive"),
+    ("monitors-count-not-int", _resolve_with(_set("monitors", count=2.5)),
+     "monitors.count must be an integer (got 2.5)"),
+    ("monitors-count-out-of-range", _resolve_with(_set("monitors", count=10001)),
+     "monitors.count must be in [1, n_hosts]"),
+    ("monitors-empty", _resolve_with(_set(None, monitors={})),
+     "monitors block needs deadline_itu and/or count"),
+]
+
+
+@pytest.mark.parametrize(
+    "action,message",
+    [pytest.param(action, message, id=case) for case, action, message in CONFIG_ERRORS],
+)
+def test_config_error_texts(action, message, tmp_path):
+    with pytest.raises(ConfigError) as info:
+        action(tmp_path)
+    assert str(info.value) == message.replace("{path}", str(tmp_path / "bad.yaml"))

@@ -207,6 +207,17 @@ def test_fixed_servers_halts_near_validity_window(codered_fixed):
     assert traj.halt_itu == pytest.approx(win, abs=0.05)
 
 
+@pytest.mark.parametrize("dt", [0.01, 0.005, 0.002, 0.001])
+def test_fixed_servers_halts_at_every_step_size(codered_fixed, dt):
+    # At dt 0.01 one step takes I from 15.4 below zero; the flush leaves
+    # it at exactly 0, where dI/dt is 0, and the run must halt there
+    # rather than step the resting state on to the horizon.
+    traj = integrate(codered_fixed, IntegratorConfig(t_end_itu=60.0, dt_itu=dt, sample_stride=1))
+    assert traj.halt_itu == pytest.approx(46.16, abs=5e-3)
+    assert traj.t_itu[-1] == traj.halt_itu
+    assert traj.i[-1] < 0.5
+
+
 def test_dominant_patching_runs_to_zero(desk_fixed):
     traj = integrate(desk_fixed, IntegratorConfig(t_end_itu=48.0))
     assert traj.halt_itu is not None
