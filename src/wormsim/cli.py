@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -176,6 +177,10 @@ def _as_kappa(value, where: str) -> tuple:
     kappa = tuple(_as_float(item, where) for item in value)
     if not all(0.0 < item < 1.0 for item in kappa):
         raise ConfigError(f"{where} values must lie strictly between 0 and 1")
+    labels = [f"{item:g}" for item in kappa]  # the report and table keys
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"{where} values must differ in 6 significant digits "
+                          f"(got {', '.join(labels)})")
     return kappa
 
 
@@ -267,6 +272,22 @@ def _checked(block: str, check, *args):
         raise ConfigError(f"{block}: {exc}")
 
 
+@functools.cache
+def _yaml_loader():
+    """yaml.SafeLoader that also reads YAML 1.2 floats such as 1e-3 and 1e300."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+    return Loader
+
+
 def load_config(source: str) -> dict:
     """Resolve a --config argument: built-in name first, then file path."""
     if source in BUILTIN_SCENARIOS:
@@ -275,7 +296,7 @@ def load_config(source: str) -> dict:
         import yaml
         with open(source, "r", encoding="utf-8") as fh:
             try:
-                config = yaml.safe_load(fh)
+                config = yaml.load(fh, Loader=_yaml_loader())
             except yaml.YAMLError as exc:
                 raise ConfigError(f"cannot parse {source}: {exc}")
         config = _require_mapping(config, f"scenario file {source}")
@@ -295,7 +316,8 @@ def apply_override(config: dict, assignment: str) -> None:
         raise ConfigError(f"--set needs KEY=VALUE (got {assignment!r})")
     import yaml
     try:
-        value = yaml.safe_load(value_text) if value_text.strip() else None
+        value = (yaml.load(value_text, Loader=_yaml_loader())
+                 if value_text.strip() else None)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse value in --set {assignment!r}: {exc}")
     node = config
@@ -689,8 +711,8 @@ def _scenario_banner(scn: ResolvedScenario) -> str:
 
 
 def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     result = evaluate(scn)
+    os.makedirs(out_dir, exist_ok=True)
     print(_scenario_banner(scn))
     for engine, traj in result.trajectories.items():
         csv_path = os.path.join(out_dir, f"{scn.name}_{engine}.csv")

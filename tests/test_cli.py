@@ -150,6 +150,18 @@ def test_apply_override_rejects_malformed():
         apply_override(_nopatch_config(), "params.n_hosts.deeper=1")
 
 
+def test_yaml_1_2_floats_parse(tmp_path):
+    # Neither a dot nor a signed exponent is needed, in --set or in a file.
+    config = _nopatch_config()
+    apply_override(config, "integrator.dt_itu=1e-3")
+    apply_override(config, "params.gamma=1e300")
+    assert config["integrator"]["dt_itu"] == 0.001
+    assert config["params"]["gamma"] == 1e300
+    path = tmp_path / "floats.yaml"
+    path.write_text("integrator: {dt_itu: 1e-3, t_end_itu: 2E1}\n")
+    assert load_config(str(path))["integrator"] == {"dt_itu": 0.001, "t_end_itu": 20.0}
+
+
 # --- list-scenarios -----------------------------------------------------
 
 
@@ -220,6 +232,14 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and message in err
+
+
+def test_numerical_failure_writes_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "X"
+    code = main(["run", "--config", "codered-p2p-g2", "--set", "params.gamma=1.0e+300",
+                 "--engines", "integrate", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
 
 
 # --- run artifacts ------------------------------------------------------
@@ -578,6 +598,9 @@ CONFIG_ERRORS = [
      "monitors.count must be in [1, n_hosts]"),
     ("monitors-empty", _resolve_with(_set(None, monitors={})),
      "monitors block needs deadline_itu and/or count"),
+    # kappa values that repeat or print alike would share one report key
+    ("kappa-repeated", _resolve_with(_set(None, kappa=[0.5, 0.5, 0.50000001])),
+     "kappa values must differ in 6 significant digits (got 0.5, 0.5, 0.5)"),
 ]
 
 

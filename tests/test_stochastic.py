@@ -141,6 +141,23 @@ def test_ensemble_mean_is_run_average():
     assert res.mean.source is TrajectorySource.ENSEMBLE_MEAN
 
 
+@pytest.mark.parametrize("offset", [1e7, 1e8])
+def test_ensemble_spread_holds_at_large_counts(monkeypatch, offset):
+    # 50 runs at one count, one of them a host higher: the population std
+    # is sqrt(0.02 * 0.98) = 0.14 however large the count.
+    def runs(params, config, grid):
+        for k in range(config.runs):
+            yield np.full((3, len(grid)), offset + (k == 0)), None
+
+    monkeypatch.setattr(stochastic, "_runs", runs)
+    params = ScenarioParams(
+        n_hosts=10**9, virulence=1.0, i0=1, defense=DefenseKind.NO_PATCHING
+    )
+    res = ensemble(params, StochasticConfig(t_end_itu=1.0, seed=0, runs=50))
+    for std in (res.s_std, res.i_std, res.p_std):
+        np.testing.assert_allclose(std, 0.14, rtol=1e-12, atol=0.0)
+
+
 _POOL_CASES = [
     ScenarioParams(
         n_hosts=2000, virulence=1.0, i0=5,
@@ -185,8 +202,8 @@ _serial_run = stochastic._run
 
 
 def _run_tagged_with_pid(params, run_key, grid):
-    s, i, p, _, extinct = _serial_run(params, run_key, grid)
-    return s, i, p, os.getpid(), extinct
+    sip, _ = _serial_run(params, run_key, grid)
+    return sip, os.getpid()
 
 
 @pytest.mark.skipif(not _CAN_FORK or _CPUS < 2, reason="needs fork and 2 CPUs")
@@ -195,12 +212,12 @@ def test_large_patched_ensemble_runs_in_workers(monkeypatch):
     monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", 0)
     monkeypatch.setattr(stochastic, "_run", _run_tagged_with_pid)
     grid = stochastic._grid(cfg)
-    pids = {r[3] for r in stochastic._runs(_POOL_CASES[0], cfg, grid)}
+    pids = {r[1] for r in stochastic._runs(_POOL_CASES[0], cfg, grid)}
     assert pids and os.getpid() not in pids
     undefended = ScenarioParams(
         n_hosts=2000, virulence=1.0, i0=5, defense=DefenseKind.NO_PATCHING
     )
-    pids = {r[3] for r in stochastic._runs(undefended, cfg, grid)}
+    pids = {r[1] for r in stochastic._runs(undefended, cfg, grid)}
     assert pids == {os.getpid()}
 
 
@@ -447,13 +464,14 @@ _P2P = DefenseKind.PEER_TO_PEER
 )
 def test_event_loop_matches_reference(params, cfg, check):
     grid = stochastic._grid(cfg)
-    got = stochastic._run_patched(params, stochastic._rng(cfg.seed), grid)
+    sip, halt = stochastic._run_patched(params, stochastic._rng(cfg.seed), grid)
     want = _ref_run_patched(params, stochastic._rng(cfg.seed), grid)
     assert check(want, params)  # the case exercises what its id says
-    for a, b in zip(got[:3], want[:3]):
+    assert sip.shape == (3, len(grid))
+    for a, b in zip(sip, want[:3]):
         assert np.array_equal(a, b)
-    assert got[3] == want[3]
-    assert got[4] == want[4]
+    assert halt == want[3]
+    assert (sip[1][-1] == 0) == want[4]
 
 
 def _ref_infection_jumps(params, gen):
