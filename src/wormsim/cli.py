@@ -89,7 +89,7 @@ class ResolvedScenario:
     kappa: tuple
     extinction_threshold: float
     compare_tolerance: float
-    monitors: Optional[dict]
+    monitoring: Optional[dict]  # the report's telescope sizing block
     config: dict
 
 
@@ -134,7 +134,10 @@ def _as_int(value, where: str) -> int:
 def _as_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number (got {value!r})")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{where} must be finite")
     return out
@@ -294,11 +297,13 @@ def load_config(source: str) -> dict:
         return builtin_scenario(source)
     if os.path.exists(source):
         import yaml
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
                 config = yaml.load(fh, Loader=_yaml_loader())
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"cannot parse {source}: {exc}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read {source}: {exc.strerror}")
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse {source}: {exc}")
         config = _require_mapping(config, f"scenario file {source}")
         config.setdefault("name", _slug(os.path.splitext(os.path.basename(source))[0]))
         return config
@@ -337,11 +342,32 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name) or "scenario"
 
 
+def _monitoring_json(params: ScenarioParams, time_unit: str, deadline, count) -> dict:
+    """Telescope sizing for the report; ValueError where a size does not exist."""
+    block = {
+        "thumb_rule_monitors": {
+            "fixed_servers": thumb_rule_monitors(params.n_hosts, DefenseKind.FIXED_SERVERS),
+            "peer_to_peer": thumb_rule_monitors(params.n_hosts, DefenseKind.PEER_TO_PEER),
+        }
+    }
+    if deadline is not None:
+        plan = monitors_for_detection(params, deadline)
+        block.update(deadline=_time_json(params, time_unit, deadline),
+                     required_monitors=plan.monitors,
+                     expected_scans_with_required=plan.expected_scans_at_deadline)
+    if count is not None:
+        block["count"] = count
+        if deadline is not None:
+            block["expected_scans_at_deadline"] = expected_scans(deadline, params, count)
+    return block
+
+
 def resolve_scenario(config: dict) -> ResolvedScenario:
     """Validate a raw config mapping and freeze it into run-ready form.
 
     The top-level keys are read first, then the params, integrator,
-    stochastic and monitors blocks, each with the checks across its keys.
+    stochastic and monitors blocks, each with the checks across its keys;
+    a telescope sizing that does not exist is a fault of the monitors block.
     """
     top = _read_block(config, _TOP)
 
@@ -368,26 +394,22 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
     if threshold is None:
         threshold = default_extinction_threshold(params)
 
-    monitors = top["monitors"]
+    monitors, monitoring = top.pop("monitors"), None
     if monitors is not None:
         raw = _read_block(monitors, _MONITORS, "monitors")
+        deadline, count = raw["deadline_itu"], raw["count"]
         if not undefended:
             raise ConfigError(
                 "monitors block models undefended growth; defense must be no_patching"
             )
-        monitors = {key: value for key, value in raw.items() if value is not None}
-        if not monitors:
+        if deadline is None and count is None:
             raise ConfigError("monitors block needs deadline_itu and/or count")
-        if "count" in monitors and not 1 <= monitors["count"] <= params.n_hosts:
+        if count is not None and not 1 <= count <= params.n_hosts:
             raise ConfigError("monitors.count must be in [1, n_hosts]")
-        # The telescope sizing that monitoring_block reports must exist.
-        _checked("monitors", thumb_rule_monitors, params.n_hosts,
-                 DefenseKind.FIXED_SERVERS)
-        if "deadline_itu" in monitors:
-            _checked("monitors", monitors_for_detection, params, monitors["deadline_itu"])
+        monitoring = _checked("monitors", _monitoring_json, params, time_unit, deadline, count)
 
     top.update(params=params, integrator=integrator, stochastic=stochastic,
-               extinction_threshold=threshold, monitors=monitors)
+               extinction_threshold=threshold, monitoring=monitoring)
     return ResolvedScenario(time_unit=time_unit, config=copy.deepcopy(config), **top)
 
 
@@ -426,8 +448,6 @@ def run_engine(scn: ResolvedScenario, engine: str):
                 "runs": result.runs_used,
                 "extinct_before_end": result.extinct_before_end,
             }
-        else:
-            raise ConfigError(f"unknown engine {engine!r}")
     except (RuntimeError, FloatingPointError, OverflowError) as exc:
         raise NumericalError(f"engine {engine}: {exc}") from exc
     try:
@@ -440,59 +460,50 @@ def _itu(tv: Optional[TimeValue]) -> Optional[float]:
     return None if tv is None else float(tv.itu)
 
 
-def _time_json(scn: ResolvedScenario, t_itu: Optional[float]) -> Optional[dict]:
+def _time_json(params: ScenarioParams, unit: str, t_itu: Optional[float]) -> Optional[dict]:
     if t_itu is None:
         return None
-    tv = TimeValue.from_itu(float(t_itu), scn.params)
-    return {"itu": tv.itu, "wallclock": tv.wallclock, "unit": scn.time_unit}
+    tv = TimeValue.from_itu(float(t_itu), params)
+    return {"itu": tv.itu, "wallclock": tv.wallclock, "unit": unit}
 
 
 def measure_trajectory(
     scn: ResolvedScenario, traj: Trajectory, summary: SummaryMetrics
 ) -> dict:
     """One engine's ``summarize`` result, JSON-ready."""
+    time = functools.partial(_time_json, scn.params, scn.time_unit)
     block = {
-        "peak_time": _time_json(scn, summary.peak_time.itu),
+        "peak_time": time(summary.peak_time.itu),
         "peak_infected": float(summary.peak_infected),
         "extinction_threshold": summary.extinction_threshold,
-        "extinction_time": _time_json(scn, _itu(summary.extinction_time)),
+        "extinction_time": time(_itu(summary.extinction_time)),
         "samples": int(len(traj.t_itu)),
-        "halt": _time_json(scn, traj.halt_itu),
+        "halt": time(traj.halt_itu),
     }
     if scn.kappa:
         block["spread_time"] = {
-            f"{kappa:g}": _time_json(scn, _itu(tv))
-            for kappa, tv in summary.spread_times.items()
+            f"{kappa:g}": time(_itu(tv)) for kappa, tv in summary.spread_times.items()
         }
     return block
 
 
-def analytic_predictions(scn: ResolvedScenario) -> dict:
-    """Closed-form predictors for the scenario's defense, JSON-ready."""
+def _predictions(scn: ResolvedScenario) -> list:
+    """(quantity, analytic value, note) per predicted quantity, in table order."""
     params = scn.params
     if params.defense is DefenseKind.NO_PATCHING:
-        spread = {
-            f"{value:g}": _time_json(scn, spread_time(params, value).itu)
-            for value in scn.kappa
-        }
-        return {"spread_time": spread}
+        return [(f"spread_time_itu(kappa={kappa:g})", spread_time(params, kappa).itu, "")
+                for kappa in scn.kappa]
     if params.defense is DefenseKind.FIXED_SERVERS:
-        return {
-            "peak_time": _time_json(scn, fixed_peak_time(params).itu),
-            "extinction_time": _time_json(scn, fixed_extinction_time(params).itu),
-            "peak_infected": None,
-            "peak_infected_note": "n/a (order-of-N scaling only)",
-        }
-    block = {
-        "peak_time": _time_json(scn, p2p_peak_time(params).itu),
-        "extinction_time": _time_json(scn, p2p_extinction_time(params).itu),
-    }
-    try:
-        block["peak_infected"] = p2p_peak_infected(params)
-    except ValueError:
-        block["peak_infected"] = None
-        block["peak_infected_note"] = "n/a (gamma <= 1)"
-    return block
+        peak, extinction = fixed_peak_time(params), fixed_extinction_time(params)
+        infected, note = None, "n/a (order-of-N scaling only)"
+    else:
+        peak, extinction = p2p_peak_time(params), p2p_extinction_time(params)
+        try:
+            infected, note = p2p_peak_infected(params), ""
+        except ValueError:
+            infected, note = None, "n/a (gamma <= 1)"
+    return [("peak_time_itu", peak.itu, ""), ("peak_infected", infected, note),
+            ("extinction_time_itu", extinction.itu, "")]
 
 
 class Comparison(NamedTuple):
@@ -522,26 +533,14 @@ def _compared_values(summary: SummaryMetrics) -> dict:
     return values
 
 
-def comparisons(scn: ResolvedScenario, analytic: dict, summaries: dict) -> list:
+def comparisons(scn: ResolvedScenario, summaries: dict) -> list:
     """One Comparison per predicted quantity, from each engine's ``summarize``.
 
     Times are compared in ITU; the wallclock ratio is identical.
     """
-    if scn.params.defense is DefenseKind.NO_PATCHING:
-        predicted = [
-            (f"spread_time_itu(kappa={key})", analytic["spread_time"][key]["itu"], "")
-            for key in (f"{kappa:g}" for kappa in scn.kappa)
-        ]
-    else:
-        predicted = [
-            ("peak_time_itu", analytic["peak_time"]["itu"], ""),
-            ("peak_infected", analytic["peak_infected"],
-             analytic.get("peak_infected_note", "")),
-            ("extinction_time_itu", analytic["extinction_time"]["itu"], ""),
-        ]
     values = {engine: _compared_values(summary) for engine, summary in summaries.items()}
     records = []
-    for quantity, reference, note in predicted:
+    for quantity, reference, note in _predictions(scn):
         measured = {engine: values[engine][quantity] for engine in values}
         errors = {} if reference is None else {
             engine: abs(value - reference) / abs(reference)
@@ -561,28 +560,17 @@ def relative_errors(records: list) -> dict:
     return out
 
 
-def monitoring_block(scn: ResolvedScenario) -> dict:
-    """Telescope sizing results for the report (``resolve_scenario`` checked them)."""
-    params = scn.params
-    block = {
-        "thumb_rule_monitors": {
-            "fixed_servers": thumb_rule_monitors(params.n_hosts, DefenseKind.FIXED_SERVERS),
-            "peer_to_peer": thumb_rule_monitors(params.n_hosts, DefenseKind.PEER_TO_PEER),
-        }
-    }
-    deadline = scn.monitors.get("deadline_itu")
-    count = scn.monitors.get("count")
-    if deadline is not None:
-        plan = monitors_for_detection(params, deadline)
-        block["deadline"] = _time_json(scn, deadline)
-        block["required_monitors"] = plan.monitors
-        block["expected_scans_with_required"] = plan.expected_scans_at_deadline
-    if count is not None:
-        block["count"] = count
-        if deadline is not None:
-            block["expected_scans_at_deadline"] = float(
-                expected_scans(deadline, params, count)
-            )
+def _analytic_json(scn: ResolvedScenario, records: list) -> dict:
+    """The report's analytic block, from the comparison records."""
+    time = functools.partial(_time_json, scn.params, scn.time_unit)
+    if scn.params.defense is DefenseKind.NO_PATCHING:
+        return {"spread_time": {f"{kappa:g}": time(record.analytic)
+                                for kappa, record in zip(scn.kappa, records)}}
+    peak, infected, extinction = records
+    block = {"peak_time": time(peak.analytic), "peak_infected": infected.analytic,
+             "extinction_time": time(extinction.analytic)}
+    if infected.note:
+        block["peak_infected_note"] = infected.note
     return block
 
 
@@ -592,7 +580,6 @@ class Evaluation:
 
     trajectories: dict
     measured: dict
-    analytic: dict
     comparisons: list
     worst: Optional[float]
 
@@ -609,12 +596,11 @@ def evaluate(scn: ResolvedScenario) -> Evaluation:
         measured[engine] = measure_trajectory(scn, traj, summaries[engine])
         if extras:
             measured[engine]["stochastic"] = extras
-    analytic = analytic_predictions(scn)
-    records = comparisons(scn, analytic, summaries)
+    records = comparisons(scn, summaries)
     worst = max(
         (error for record in records for error in record.errors.values()), default=None
     )
-    return Evaluation(trajectories, measured, analytic, records, worst)
+    return Evaluation(trajectories, measured, records, worst)
 
 
 def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
@@ -633,7 +619,7 @@ def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
             "p_bar": params.p_bar,
         },
         "engines": result.measured,
-        "analytic": result.analytic,
+        "analytic": _analytic_json(scn, result.comparisons),
         "relative_errors": relative_errors(result.comparisons),
         "tolerance": {
             "compare_tolerance": scn.compare_tolerance,
@@ -646,8 +632,8 @@ def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
         },
         "config": scn.config,
     }
-    if scn.monitors is not None:
-        report["monitoring"] = monitoring_block(scn)
+    if scn.monitoring is not None:
+        report["monitoring"] = scn.monitoring
     return report
 
 
@@ -712,14 +698,19 @@ def _scenario_banner(scn: ResolvedScenario) -> str:
 
 def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
     result = evaluate(scn)
-    os.makedirs(out_dir, exist_ok=True)
-    print(_scenario_banner(scn))
-    for engine, traj in result.trajectories.items():
-        csv_path = os.path.join(out_dir, f"{scn.name}_{engine}.csv")
-        write_trajectory_csv(csv_path, traj)
-        print(f"wrote {csv_path} ({len(traj.t_itu)} samples)")
+    csv_paths = {engine: os.path.join(out_dir, f"{scn.name}_{engine}.csv")
+                 for engine in result.trajectories}
     report_path = os.path.join(out_dir, "report.json")
-    write_report_json(report_path, build_report(scn, result))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for engine, csv_path in csv_paths.items():
+            write_trajectory_csv(csv_path, result.trajectories[engine])
+        write_report_json(report_path, build_report(scn, result))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc.strerror}")
+    print(_scenario_banner(scn))
+    for engine, csv_path in csv_paths.items():
+        print(f"wrote {csv_path} ({len(result.trajectories[engine].t_itu)} samples)")
     print(f"wrote {report_path}")
     if result.worst is not None:
         print(

@@ -184,31 +184,20 @@ def integrate(params: ScenarioParams, config: IntegratorConfig) -> Trajectory:
     validate_config(config)
     state = initial_state(params)
     n_steps = max(1, int(math.ceil(config.t_end_itu / config.dt_itu - 1e-9)))
-    max_samples = n_steps // config.sample_stride + 3
-    out_t = np.empty(max_samples)
-    out_s = np.empty(max_samples)
-    out_i = np.empty(max_samples)
-    out_p = np.empty(max_samples)
+    out = np.empty((4, n_steps // config.sample_stride + 3))  # rows t, S, I, P
     n = float(params.n_hosts)
     g_n = params.gamma / n if params.defense is DefenseKind.PEER_TO_PEER else 0.0
     count, status, last_step = _rk4_kernel(
         params.defense is DefenseKind.FIXED_SERVERS, g_n,
         n, params.gamma, float(params.p_bar),
         state.s, state.i, state.p,
-        config.dt_itu, n_steps, config.sample_stride,
-        out_t, out_s, out_i, out_p,
+        config.dt_itu, n_steps, config.sample_stride, *out,
     )
     if status == _DIVERGED:
         raise RuntimeError(
             f"integration diverged (non-finite state) at step {last_step}"
         )
     halt = last_step * config.dt_itu if status == _HALTED_EXTINCT else None
-    return Trajectory(
-        t_itu=out_t[:count].copy(),
-        s=out_s[:count].copy(),
-        i=out_i[:count].copy(),
-        p=out_p[:count].copy(),
-        params=params,
-        source=TrajectorySource.INTEGRATED,
-        halt_itu=halt,
-    )
+    t_itu, s, i, p = out[:, :count].copy()
+    return Trajectory(t_itu=t_itu, s=s, i=i, p=p, params=params,
+                      source=TrajectorySource.INTEGRATED, halt_itu=halt)

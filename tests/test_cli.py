@@ -18,6 +18,7 @@ from wormsim.cli import (
 )
 from wormsim.core import Trajectory, TrajectorySource
 from wormsim.scenarios import builtin_names
+from wormsim.stochastic import simulate
 
 
 # --- virulence parsing --------------------------------------------------
@@ -402,6 +403,74 @@ def test_compare_output_is_pinned(name, capsys):
     assert {"exit": code, "stdout": capsys.readouterr().out} == golden
 
 
+VARIANTS_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_variants.json")
+
+# (case id, config, --set assignments) for report paths the built-ins miss:
+# single stochastic runs, one-key monitors blocks, and measurements that
+# never reach the predicted quantity.
+VARIANTS = [
+    ("codered-fixed-desk-one-run", "codered-fixed-desk", ["stochastic.runs=1"]),
+    ("codered-nopatch-desk-one-run", "codered-nopatch-desk", ["stochastic.runs=1"]),
+    ("codered-p2p-g2-desk-one-run", "codered-p2p-g2-desk", ["stochastic.runs=1"]),
+    ("monitors-count-only", "monitoring-slammer", ["monitors={count: 5000}"]),
+    ("monitors-deadline-only", "monitoring-slammer", ["monitors={deadline_itu: 3.0}"]),
+    ("kappa-never-reached", "codered-nopatch",
+     ["kappa=0.999999", "integrator.t_end_itu=5"]),
+    ("extinction-never-reached", "codered-fixed", ["integrator.t_end_itu=5"]),
+]
+
+
+def _variant_outputs(config, sets, out_dir, capsys):
+    """report.json without its environment block, and compare's exit and stdout."""
+    argv = ["--config", config] + [arg for item in sets for arg in ("--set", item)]
+    assert main(["run", "--out", str(out_dir)] + argv) == 0
+    capsys.readouterr()
+    with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    del report["environment"]
+    code = main(["compare"] + argv)
+    return {"report": report, "compare": {"exit": code, "stdout": capsys.readouterr().out}}
+
+
+@pytest.mark.parametrize("case,config,sets", VARIANTS, ids=[v[0] for v in VARIANTS])
+def test_variant_outputs_are_pinned(case, config, sets, tmp_path, capsys):
+    # The golden file maps each case id to its _variant_outputs; re-pin it
+    # only for a deliberate change.  Both sides are serialised alike, so 1
+    # and 1.0 differ here as they do in report.json.
+    with open(VARIANTS_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)[case]
+    outputs = _variant_outputs(config, sets, tmp_path / "out", capsys)
+    assert (json.dumps(outputs, indent=2, sort_keys=True)
+            == json.dumps(golden, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("name", [n for n in builtin_names() if n.endswith("-desk")])
+def test_single_stochastic_run_writes_simulate(name, tmp_path):
+    # runs=1 takes run_engine's simulate branch, not the ensemble's.
+    out = tmp_path / "one"
+    assert main(["run", "--config", name, "--engines", "stochastic",
+                 "--set", "stochastic.runs=1", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["engines"]["stochastic"]["halt"] is not None
+    config = load_config(name)
+    apply_override(config, "stochastic.runs=1")
+    scn = resolve_scenario(config)
+    traj = simulate(scn.params, scn.stochastic)
+    with open(out / f"{name}_stochastic.csv") as fh:
+        columns = np.array(list(csv.reader(fh))[1:], dtype=float).T
+    expected = (traj.t_itu, traj.t_wallclock(), traj.s, traj.i, traj.p)
+    for column, values in zip(columns, expected):
+        assert np.array_equal(column, values)
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert main(["run", "--config", "codered-nopatch", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {out}: File exists\n"
+    assert out.read_text() == "keep\n"
+
+
 def _resolve_with(*mutations):
     config = _nopatch_config()
     for mutate in mutations:
@@ -430,9 +499,15 @@ def _load_file(text):
     return load
 
 
+def _load_directory(tmp):
+    path = tmp / "bad.yaml"
+    path.mkdir()
+    return load_config(str(path))
+
+
 # (case id, action, exact text) for each ConfigError check reachable from
 # parse_virulence, load_config, apply_override and resolve_scenario.  Each
-# action takes the test's tmp_path; "{path}" stands for the file it writes.
+# action takes the test's tmp_path; "{path}" stands for the file it makes.
 CONFIG_ERRORS = [
     # parse_virulence
     ("virulence-no-unit", lambda _t: parse_virulence("1.8"),
@@ -601,6 +676,13 @@ CONFIG_ERRORS = [
     # kappa values that repeat or print alike would share one report key
     ("kappa-repeated", _resolve_with(_set(None, kappa=[0.5, 0.5, 0.50000001])),
      "kappa values must differ in 6 significant digits (got 0.5, 0.5, 0.5)"),
+    # integers too large for a float, as YAML reads a 1 followed by 400 zeros
+    ("gamma-overflow", _resolve_with(_set("params", gamma=10**400)),
+     "params.gamma must be finite"),
+    ("kappa-overflow", _resolve_with(_set(None, kappa=[10**400])),
+     "kappa must be finite"),
+    ("load-directory", _load_directory,
+     "cannot read {path}: Is a directory"),
 ]
 
 
