@@ -7,15 +7,16 @@ Usage:
     wormsim list-scenarios
 
 A scenario config is a YAML mapping (built-in names resolve to the same
-schema; JSON works too since it is a YAML subset).  ``run`` writes one
-trajectory CSV per engine plus report.json with summary metrics,
-analytic predictions, and relative errors; reruns with the same config
-and seed produce byte-identical files.  ``compare`` prints an
-analytic-vs-measured table and fails when any relative error exceeds
-the scenario's tolerance.
+schema; JSON works too since it is a YAML subset).  A value that is not of
+its key's kind in the schema tables is a config error "<key> must be <kind>
+(got <value>)".  ``run`` writes one trajectory CSV per engine plus
+report.json with summary metrics, analytic predictions, and relative
+errors; reruns with the same config and seed produce byte-identical files.
+``compare`` prints an analytic-vs-measured table and fails when any
+relative error exceeds the scenario's tolerance.
 
 Exit codes: 0 success, 1 comparison outside tolerance, 2 bad
-configuration, 3 numerical failure.
+configuration, 3 numerical failure (also a NaN or infinity in the report).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -95,176 +97,117 @@ class ResolvedScenario:
 
 def parse_virulence(text) -> tuple:
     """Split "1.8/hour" into (rate per wallclock unit, unit name)."""
-    if not isinstance(text, str) or "/" not in text:
-        raise ConfigError(
-            "virulence must be a string like '1.5/minute' "
-            f"(got {text!r}); units: {', '.join(TIME_UNITS)}"
-        )
-    value_text, _, unit = text.partition("/")
+    rate, _, unit = _read(text, "virulence", "a string").partition("/")
     try:
-        value = float(value_text.strip())
+        rate = float(rate)
     except ValueError:
-        raise ConfigError(f"virulence rate {value_text.strip()!r} is not a number")
-    unit = unit.strip()
-    if unit not in TIME_UNITS:
-        raise ConfigError(
-            f"unknown virulence time unit {unit!r}; expected one of "
-            f"{', '.join(TIME_UNITS)}"
-        )
-    if not value > 0.0 or not math.isfinite(value):
-        raise ConfigError("virulence rate must be positive and finite")
-    return value, unit
+        pass  # the text stays, and _read rejects it as not a number
+    return (_read(rate, "virulence rate", "a positive number"),
+            _read(unit.strip(), "virulence unit", TIME_UNITS))
 
 
-def _require_mapping(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    return obj
-
-
-# Config readers: each takes (raw value, dotted key) and returns the value.
-
-
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer (got {value!r})")
-    return value
-
-
-def _as_float(value, where: str) -> float:
+def _real(value) -> float:
+    """A non-bool int or float as a float; otherwise NaN, which no range holds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number (got {value!r})")
+        return math.nan
     try:
-        out = float(value)
+        return float(value)
     except OverflowError:  # an integer beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
-        raise ConfigError(f"{where} must be finite")
-    return out
+        return math.inf
 
 
-def _as_positive(value, where: str) -> float:
-    out = _as_float(value, where)
-    if out <= 0.0:
-        raise ConfigError(f"{where} must be positive")
-    return out
+# Kind nouns: a type test each, or for a number kind the open range of its float.
+_TYPES = {
+    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "a string": lambda value: isinstance(value, str),
+    "a non-empty string": lambda value: isinstance(value, str) and value != "",
+    "a mapping": lambda value: isinstance(value, dict),
+    None: lambda value: True,  # a nested block, which resolve_scenario reads
+}
+_RANGES = {
+    "a finite number": (-math.inf, math.inf),
+    "a positive number": (0.0, math.inf),
+    "a number in (0, 1)": (0.0, 1.0),
+}
 
 
-def _as_defense(value, _where: str) -> DefenseKind:
-    try:
-        return DefenseKind(value)
-    except ValueError:
-        raise ConfigError(
-            f"unknown defense {value!r}; expected one of "
-            + ", ".join(kind.value for kind in DefenseKind)
-        )
+def _read(value, key: str, kind):
+    """value as kind: a noun of _TYPES or _RANGES, a tuple of allowed names, or
+    [kind], a list of that kind read as a tuple (one value is a list of one)."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            return (_read(value, key, kind[0]),)
+        return tuple(_read(item, f"{key}[{k}]", kind[0]) for k, item in enumerate(value))
+    if isinstance(kind, tuple):
+        ok, kind = value in kind, "one of " + ", ".join(kind)
+    elif kind in _RANGES:
+        low, high = _RANGES[kind]
+        ok = low < _real(value) < high
+    else:
+        ok = _TYPES[kind](value)
+    if not ok:  # the one form of every type, range or choice fault
+        raise ConfigError(f"{key} must be {kind} (got {reprlib.repr(value)})")
+    return _real(value) if kind in _RANGES else value
 
 
-def _as_engines(value, where: str) -> tuple:
-    engines = [value] if isinstance(value, str) else value
-    if not isinstance(engines, list) or not engines:
-        raise ConfigError(f"{where} must be a non-empty list")
-    for engine in engines:
-        if engine not in ENGINE_NAMES:
-            raise ConfigError(
-                f"unknown engine {engine!r}; expected one of " + ", ".join(ENGINE_NAMES)
-            )
-    return tuple(dict.fromkeys(engines))
-
-
-def _as_kappa(value, where: str) -> tuple:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = [value]
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a number or a list of numbers")
-    kappa = tuple(_as_float(item, where) for item in value)
-    if not all(0.0 < item < 1.0 for item in kappa):
-        raise ConfigError(f"{where} values must lie strictly between 0 and 1")
-    labels = [f"{item:g}" for item in kappa]  # the report and table keys
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"{where} values must differ in 6 significant digits "
-                          f"(got {', '.join(labels)})")
-    return kappa
-
-
-def _as_name(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{where} must be a non-empty string")
-    return _slug(value)
-
-
-def _as_text(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string")
-    return value
-
-
-# The schema: one table per block, mapping each allowed key to (reader,
-# default).  A missing key takes its default as is (None: unset), or is an
-# error if the default is _REQUIRED.  The nested blocks pass through the
-# top-level table unread; resolve_scenario reads each by its own table.
+# The schema: one table per block, mapping each allowed key to (kind, default).
+# A missing key takes its default as is (None: unset), or is an error if the
+# default is _REQUIRED.  Kind None: a nested block, read later by its own table.
 
 _REQUIRED = object()
 
-
-def _nested(value, _where: str):
-    return value
-
-
 _TOP = {
-    "name": (_as_name, "scenario"),
-    "description": (_as_text, ""),
-    "params": (_nested, None),
-    "engines": (_as_engines, ("closed_form", "integrate")),
-    "integrator": (_nested, {}),
-    "stochastic": (_nested, {}),
-    "kappa": (_as_kappa, ()),
-    "extinction_threshold": (_as_positive, None),
-    "compare_tolerance": (_as_positive, 0.10),
-    "monitors": (_nested, None),
+    "name": ("a non-empty string", "scenario"),
+    "description": ("a string", ""),
+    "params": (None, _REQUIRED),
+    "engines": ([ENGINE_NAMES], ("closed_form", "integrate")),
+    "integrator": (None, {}),
+    "stochastic": (None, {}),
+    "kappa": (["a number in (0, 1)"], ()),
+    "extinction_threshold": ("a positive number", None),
+    "compare_tolerance": ("a positive number", 0.10),
+    "monitors": (None, None),  # null: no telescope sizing
 }
 _PARAMS = {
-    "n_hosts": (_as_int, _REQUIRED),
-    "virulence": (lambda text, _where: parse_virulence(text), _REQUIRED),
-    "i0": (_as_int, _REQUIRED),
-    "defense": (_as_defense, _REQUIRED),
-    "gamma": (_as_float, 1.0),
-    "p_bar": (_as_int, 0),
+    "n_hosts": ("an integer", _REQUIRED),
+    "virulence": ("a string", _REQUIRED),
+    "i0": ("an integer", _REQUIRED),
+    "defense": (tuple(kind.value for kind in DefenseKind), _REQUIRED),
+    "gamma": ("a finite number", 1.0),
+    "p_bar": ("an integer", 0),
 }
 _INTEGRATOR = {
-    "t_end_itu": (_as_float, 50.0),
-    "dt_itu": (_as_float, 0.001),
-    "sample_stride": (_as_int, 10),
+    "t_end_itu": ("a finite number", 50.0),
+    "dt_itu": ("a finite number", 0.001),
+    "sample_stride": ("an integer", 10),
 }
 _STOCHASTIC = {
-    "t_end_itu": (_as_float, None),
-    "seed": (_as_int, 12345),
-    "sample_dt_itu": (_as_float, 0.05),
-    "runs": (_as_int, 1),
+    "t_end_itu": ("a finite number", None),
+    "seed": ("an integer", 12345),
+    "sample_dt_itu": ("a finite number", 0.05),
+    "runs": ("an integer", 1),
 }
 _MONITORS = {
-    "deadline_itu": (_as_positive, None),
-    "count": (_as_int, None),
+    "deadline_itu": ("a positive number", None),
+    "count": ("an integer", None),
 }
 
 
 def _read_block(block, table: dict, name: str = "") -> dict:
     """{key: value} of one config block; name "" is the top level."""
     where = name or "scenario config"
-    block = _require_mapping(block, where)
+    block = _read(block, where, "a mapping")
     unknown = sorted(str(key) for key in block if key not in table)
     if unknown:
         raise ConfigError(
             f"unknown key '{unknown[0]}' in {where}; allowed: " + ", ".join(sorted(table))
         )
     prefix = f"{name}." if name else ""
-    for key, (_reader, default) in table.items():
+    for key, (_kind, default) in table.items():
         if default is _REQUIRED and key not in block:
             raise ConfigError(f"{prefix}{key} is required")
-    return {
-        key: reader(block[key], prefix + key) if key in block else default
-        for key, (reader, default) in table.items()
-    }
+    return {key: _read(block[key], prefix + key, kind) if key in block else default
+            for key, (kind, default) in table.items()}
 
 
 def _checked(block: str, check, *args):
@@ -304,7 +247,7 @@ def load_config(source: str) -> dict:
             raise ConfigError(f"cannot read {source}: {exc.strerror}")
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {source}: {exc}")
-        config = _require_mapping(config, f"scenario file {source}")
+        config = _read(config, f"scenario file {source}", "a mapping")
         config.setdefault("name", _slug(os.path.splitext(os.path.basename(source))[0]))
         return config
     raise ConfigError(
@@ -370,9 +313,18 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
     a telescope sizing that does not exist is a fault of the monitors block.
     """
     top = _read_block(config, _TOP)
+    engines = tuple(dict.fromkeys(top["engines"]))
+    if not engines:
+        raise ConfigError("engines must be a non-empty list (got [])")
+    labels = [f"{kappa:g}" for kappa in top["kappa"]]  # the report and table keys
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"kappa values must differ in 6 significant digits "
+                          f"(got {', '.join(labels)})")
+    top.update(name=_slug(top["name"]), engines=engines)
 
     raw = _read_block(top["params"], _PARAMS, "params")
-    virulence, time_unit = raw.pop("virulence")
+    virulence, time_unit = parse_virulence(raw.pop("virulence"))
+    raw["defense"] = DefenseKind(raw["defense"])
     params = _checked("params", validate, ScenarioParams(virulence=virulence, **raw))
     if params.defense is DefenseKind.FIXED_SERVERS and params.n_hosts <= 2 * params.p_bar:
         raise ConfigError("params: fixed servers need n_hosts > 2 * p_bar")
@@ -405,7 +357,8 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
         if deadline is None and count is None:
             raise ConfigError("monitors block needs deadline_itu and/or count")
         if count is not None and not 1 <= count <= params.n_hosts:
-            raise ConfigError("monitors.count must be in [1, n_hosts]")
+            raise ConfigError("monitors.count must be an integer in [1, n_hosts] "
+                              f"(got {reprlib.repr(count)})")
         monitoring = _checked("monitors", _monitoring_json, params, time_unit, deadline, count)
 
     top.update(params=params, integrator=integrator, stochastic=stochastic,
@@ -650,9 +603,10 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
 
 
 def write_report_json(path: str, report: dict) -> None:
+    """Write report as JSON; a NaN or infinity, which JSON lacks, is a ValueError."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _format_value(value) -> str:
@@ -698,6 +652,11 @@ def _scenario_banner(scn: ResolvedScenario) -> str:
 
 def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
     result = evaluate(scn)
+    report = build_report(scn, result)
+    try:
+        json.dumps(report, allow_nan=False)  # before any file is written
+    except ValueError as exc:
+        raise NumericalError(f"report.json: {exc}") from exc
     csv_paths = {engine: os.path.join(out_dir, f"{scn.name}_{engine}.csv")
                  for engine in result.trajectories}
     report_path = os.path.join(out_dir, "report.json")
@@ -705,7 +664,7 @@ def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
         os.makedirs(out_dir, exist_ok=True)
         for engine, csv_path in csv_paths.items():
             write_trajectory_csv(csv_path, result.trajectories[engine])
-        write_report_json(report_path, build_report(scn, result))
+        write_report_json(report_path, report)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_dir}: {exc.strerror}")
     print(_scenario_banner(scn))
@@ -751,10 +710,8 @@ def _resolve_from_args(args) -> ResolvedScenario:
     for assignment in args.set or []:
         apply_override(config, assignment)
     if args.seed is not None:
-        config.setdefault("stochastic", {})
-        if not isinstance(config["stochastic"], dict):
-            raise ConfigError("stochastic must be a mapping")
-        config["stochastic"]["seed"] = args.seed
+        stochastic = _read(config.setdefault("stochastic", {}), "stochastic", "a mapping")
+        stochastic["seed"] = args.seed
     if args.engines is not None:
         config["engines"] = [part.strip() for part in args.engines.split(",") if part.strip()]
     return resolve_scenario(config)

@@ -76,8 +76,9 @@ def _is_count(value) -> bool:
 
 
 def _is_positive(value) -> bool:
-    """A finite real above zero; a bool is not a number here."""
-    return not isinstance(value, bool) and np.isfinite(value) and value > 0.0
+    """A finite real above zero; a bool or any non-real value is not."""
+    real = _is_count(value) or isinstance(value, (float, np.floating))
+    return real and 0.0 < value < np.inf
 
 
 def validate(params: ScenarioParams) -> ScenarioParams:
@@ -185,20 +186,19 @@ def conservation_tolerance(source: TrajectorySource, n_hosts: int) -> float:
 
 
 def validate_trajectory(traj: Trajectory) -> Trajectory:
-    """Assert the structural invariants every produced trajectory obeys."""
+    """Assert the structural invariants every produced trajectory obeys; NaN fails each."""
     if len(traj.t_itu) == 0:
         raise ValueError("trajectory has no samples")
     if not (len(traj.t_itu) == len(traj.s) == len(traj.i) == len(traj.p)):
         raise ValueError("trajectory arrays have mismatched lengths")
-    dt = np.diff(traj.t_itu)
-    if len(dt) and float(np.min(dt)) <= 0.0:
+    if not (np.isfinite(traj.t_itu).all() and (np.diff(traj.t_itu) > 0.0).all()):
         raise ValueError("trajectory times must be strictly increasing")
     tol = conservation_tolerance(traj.source, traj.params.n_hosts)
     err = conservation_error(traj)
-    if err > tol:
+    if not err <= tol:
         raise ValueError(
             f"host conservation violated: |S+I+P-N| = {err:g} > tol {tol:g}"
         )
-    if float(np.min(traj.s)) < -tol or float(np.min(traj.i)) < -tol or float(np.min(traj.p)) < -tol:
+    if not all(float(np.min(column)) >= -tol for column in (traj.s, traj.i, traj.p)):
         raise ValueError("trajectory has a negative compartment")
     return traj

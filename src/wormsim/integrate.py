@@ -28,6 +28,7 @@ from .core import (
     ScenarioParams,
     Trajectory,
     TrajectorySource,
+    _is_count,
     _is_positive,
     initial_state,
     validate,
@@ -63,7 +64,7 @@ def validate_config(config: IntegratorConfig) -> IntegratorConfig:
     if config.dt_itu > MAX_DT_ITU:
         raise ValueError(f"dt_itu must be <= {MAX_DT_ITU} ITU")
     stride = config.sample_stride
-    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
+    if not _is_count(stride) or stride < 1:
         raise ValueError("sample_stride must be an integer >= 1")
     return config
 

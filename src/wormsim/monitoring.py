@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DefenseKind, ScenarioParams, _is_count, validate
+from .core import DefenseKind, ScenarioParams, _is_count, _is_positive, validate
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> Monit
     (deadline too early for the worm to have scanned enough).
     """
     validate(params)
-    if not np.isfinite(deadline_itu) or deadline_itu <= 0.0:
+    if not _is_positive(deadline_itu):
         raise ValueError("deadline_itu must be positive")
     per_monitor = expected_scans(deadline_itu, params, 1)
     monitors = math.ceil(1.0 / per_monitor)

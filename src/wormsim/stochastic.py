@@ -57,6 +57,7 @@ from .core import (
     ScenarioParams,
     Trajectory,
     TrajectorySource,
+    _is_count,
     _is_positive,
     validate,
 )
@@ -95,9 +96,9 @@ def validate_config(config: StochasticConfig) -> StochasticConfig:
     if not _is_positive(config.sample_dt_itu):
         raise ValueError("sample_dt_itu must be positive")
     runs, seed = config.runs, config.seed
-    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
+    if not _is_count(runs) or runs < 1:
         raise ValueError("runs must be an integer >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_count(seed) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     return config
 
@@ -307,7 +308,7 @@ def _check_monitors(params: ScenarioParams, monitors: int) -> None:
     validate(params)
     if params.defense is not DefenseKind.NO_PATCHING:
         raise ValueError("detection runs model the undefended worm only")
-    if not isinstance(monitors, (int, np.integer)) or isinstance(monitors, bool):
+    if not _is_count(monitors):
         raise ValueError("monitors must be an integer")
     if not 1 <= monitors <= params.n_hosts:
         raise ValueError("monitors must satisfy 1 <= monitors <= n_hosts")

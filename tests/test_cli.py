@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import reprlib
 
 import numpy as np
 import pytest
@@ -72,33 +73,6 @@ def test_resolve_scenario_defaults():
     assert scn.integrator.dt_itu == 0.001
     assert scn.extinction_threshold == 1.0
     assert scn.compare_tolerance == 0.10
-
-
-@pytest.mark.parametrize(
-    "mutate,fragment",
-    [
-        (lambda c: c.update(bogus=1), "unknown key 'bogus'"),
-        (lambda c: c["params"].update(extra=2), "unknown key 'extra'"),
-        (lambda c: c["params"].pop("defense"), "params.defense is required"),
-        (lambda c: c["params"].update(defense="carrier_pigeon"), "unknown defense"),
-        (lambda c: c.update(engines=[]), "engines"),
-        (lambda c: c.update(engines=["warp"]), "unknown engine"),
-        (lambda c: c["integrator"].update(dt_itu=0.5), "integrator"),
-        (lambda c: c.update(kappa=[1.5]), "kappa"),
-        (lambda c: c.update(extinction_threshold=-1.0), "extinction_threshold"),
-        (lambda c: c.update(compare_tolerance=0.0), "compare_tolerance"),
-        (lambda c: c["params"].update(i0=20000), "params"),
-        (
-            lambda c: c["params"].update(defense="fixed_servers", gamma=1.0, p_bar=5000),
-            "n_hosts > 2 \\* p_bar",
-        ),
-    ],
-)
-def test_resolve_scenario_rejects(mutate, fragment):
-    config = _nopatch_config()
-    mutate(config)
-    with pytest.raises(ConfigError, match=fragment):
-        resolve_scenario(config)
 
 
 def test_kappa_requires_no_patching():
@@ -241,6 +215,17 @@ def test_numerical_failure_writes_no_output_directory(tmp_path, capsys):
                  "--engines", "integrate", "--out", str(out)])
     assert code == 3
     assert not out.exists()
+
+
+def test_non_finite_report_value_writes_nothing(tmp_path, capsys):
+    # expected_scans_at_deadline overflows to inf, which JSON cannot hold.
+    out = tmp_path / "X"
+    code = main(["run", "--config", "monitoring-slammer", "--set",
+                 "monitors.deadline_itu=1e308", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: report.json: ") and err.count("\n") == 1
 
 
 # --- run artifacts ------------------------------------------------------
@@ -511,20 +496,17 @@ def _load_directory(tmp):
 CONFIG_ERRORS = [
     # parse_virulence
     ("virulence-no-unit", lambda _t: parse_virulence("1.8"),
-     "virulence must be a string like '1.5/minute' (got '1.8'); units: second, "
-     "minute, hour, day"),
+     "virulence unit must be one of second, minute, hour, day (got '')"),
     ("virulence-not-text", lambda _t: parse_virulence(1.8),
-     "virulence must be a string like '1.5/minute' (got 1.8); units: second, "
-     "minute, hour, day"),
+     "virulence must be a string (got 1.8)"),
     ("virulence-rate", lambda _t: parse_virulence("fast/hour"),
-     "virulence rate 'fast' is not a number"),
+     "virulence rate must be a positive number (got 'fast')"),
     ("virulence-unit", lambda _t: parse_virulence("1.8/fortnight"),
-     "unknown virulence time unit 'fortnight'; expected one of second, minute, "
-     "hour, day"),
+     "virulence unit must be one of second, minute, hour, day (got 'fortnight')"),
     ("virulence-nonpositive", lambda _t: parse_virulence("-2/hour"),
-     "virulence rate must be positive and finite"),
+     "virulence rate must be a positive number (got -2.0)"),
     ("virulence-infinite", lambda _t: parse_virulence("inf/hour"),
-     "virulence rate must be positive and finite"),
+     "virulence rate must be a positive number (got inf)"),
     # load_config
     ("load-unknown", lambda _t: load_config("no-such-scenario"),
      "'no-such-scenario' is neither a built-in scenario nor an existing file; run "
@@ -534,7 +516,7 @@ CONFIG_ERRORS = [
      'column 9\nexpected \',\' or \']\', but got \'<stream end>\'\n  in "{path}", '
      "line 2, column 1"),
     ("load-not-mapping", _load_file("- 1\n- 2\n"),
-     "scenario file {path} must be a mapping"),
+     "scenario file {path} must be a mapping (got [1, 2])"),
     # apply_override
     ("set-no-equals", lambda _t: apply_override({}, "no_equals_sign"),
      "--set needs KEY=VALUE (got 'no_equals_sign')"),
@@ -549,22 +531,22 @@ CONFIG_ERRORS = [
      "--set path 'params.i0' descends into non-mapping 'params'"),
     # resolve_scenario: top level
     ("config-not-mapping", lambda _t: resolve_scenario([]),
-     "scenario config must be a mapping"),
+     "scenario config must be a mapping (got [])"),
     ("top-unknown", _resolve_with(_set(None, bogus=1)),
      "unknown key 'bogus' in scenario config; allowed: compare_tolerance, "
      "description, engines, extinction_threshold, integrator, kappa, monitors, "
      "name, params, stochastic"),
     ("name-empty", _resolve_with(_set(None, name="")),
-     "name must be a non-empty string"),
+     "name must be a non-empty string (got '')"),
     ("name-not-text", _resolve_with(_set(None, name=5)),
-     "name must be a non-empty string"),
+     "name must be a non-empty string (got 5)"),
     ("description-not-text", _resolve_with(_set(None, description=5)),
-     "description must be a string"),
+     "description must be a string (got 5)"),
     # params
     ("params-missing", _resolve_with(lambda c: c.pop("params")),
-     "params must be a mapping"),
+     "params is required"),
     ("params-not-mapping", _resolve_with(_set(None, params=[1])),
-     "params must be a mapping"),
+     "params must be a mapping (got [1])"),
     ("params-unknown", _resolve_with(_set("params", extra=2)),
      "unknown key 'extra' in params; allowed: defense, gamma, i0, n_hosts, p_bar, "
      "virulence"),
@@ -577,11 +559,10 @@ CONFIG_ERRORS = [
     ("defense-required", _resolve_with(_drop("defense")),
      "params.defense is required"),
     ("virulence-bad", _resolve_with(_set("params", virulence="1.8/fortnight")),
-     "unknown virulence time unit 'fortnight'; expected one of second, minute, "
-     "hour, day"),
+     "virulence unit must be one of second, minute, hour, day (got 'fortnight')"),
     ("defense-unknown", _resolve_with(_set("params", defense="carrier_pigeon")),
-     "unknown defense 'carrier_pigeon'; expected one of no_patching, "
-     "fixed_servers, peer_to_peer"),
+     "params.defense must be one of no_patching, fixed_servers, peer_to_peer "
+     "(got 'carrier_pigeon')"),
     ("n_hosts-not-int", _resolve_with(_set("params", n_hosts=1e4)),
      "params.n_hosts must be an integer (got 10000.0)"),
     ("n_hosts-bool", _resolve_with(_set("params", n_hosts=True)),
@@ -589,9 +570,9 @@ CONFIG_ERRORS = [
     ("i0-not-int", _resolve_with(_set("params", i0="ten")),
      "params.i0 must be an integer (got 'ten')"),
     ("gamma-not-number", _resolve_with(_set("params", gamma="fast")),
-     "params.gamma must be a number (got 'fast')"),
+     "params.gamma must be a finite number (got 'fast')"),
     ("gamma-infinite", _resolve_with(_set("params", gamma=float("inf"))),
-     "params.gamma must be finite"),
+     "params.gamma must be a finite number (got inf)"),
     ("p_bar-not-int", _resolve_with(_set("params", p_bar=2.5)),
      "params.p_bar must be an integer (got 2.5)"),
     ("params-invalid", _resolve_with(_set("params", i0=20000)),
@@ -601,76 +582,76 @@ CONFIG_ERRORS = [
      "params: fixed servers need n_hosts > 2 * p_bar"),
     # engines
     ("engines-empty", _resolve_with(_set(None, engines=[])),
-     "engines must be a non-empty list"),
+     "engines must be a non-empty list (got [])"),
     ("engines-not-list", _resolve_with(_set(None, engines=5)),
-     "engines must be a non-empty list"),
+     "engines must be one of closed_form, integrate, stochastic (got 5)"),
     ("engines-unknown", _resolve_with(_set(None, engines=["closed_form", "warp"])),
-     "unknown engine 'warp'; expected one of closed_form, integrate, stochastic"),
+     "engines[1] must be one of closed_form, integrate, stochastic (got 'warp')"),
     ("engines-unknown-text", _resolve_with(_set(None, engines="warp")),
-     "unknown engine 'warp'; expected one of closed_form, integrate, stochastic"),
+     "engines must be one of closed_form, integrate, stochastic (got 'warp')"),
     # integrator
     ("integrator-not-mapping", _resolve_with(_set(None, integrator=3)),
-     "integrator must be a mapping"),
+     "integrator must be a mapping (got 3)"),
     ("integrator-unknown", _resolve_with(_set("integrator", method="rk4")),
      "unknown key 'method' in integrator; allowed: dt_itu, sample_stride, "
      "t_end_itu"),
     ("integrator-t_end-not-number", _resolve_with(_set("integrator", t_end_itu="x")),
-     "integrator.t_end_itu must be a number (got 'x')"),
+     "integrator.t_end_itu must be a finite number (got 'x')"),
     ("integrator-dt-infinite", _resolve_with(_set("integrator", dt_itu=float("nan"))),
-     "integrator.dt_itu must be finite"),
+     "integrator.dt_itu must be a finite number (got nan)"),
     ("integrator-stride-not-int", _resolve_with(_set("integrator", sample_stride=2.0)),
      "integrator.sample_stride must be an integer (got 2.0)"),
     ("integrator-invalid", _resolve_with(_set("integrator", dt_itu=0.5)),
      "integrator: dt_itu must be <= 0.01 ITU"),
     # stochastic
     ("stochastic-not-mapping", _resolve_with(_set(None, stochastic="x")),
-     "stochastic must be a mapping"),
+     "stochastic must be a mapping (got 'x')"),
     ("stochastic-unknown", _resolve_with(_set("stochastic", workers=2)),
      "unknown key 'workers' in stochastic; allowed: runs, sample_dt_itu, seed, "
      "t_end_itu"),
     ("stochastic-t_end-not-number", _resolve_with(_set("stochastic", t_end_itu=None)),
-     "stochastic.t_end_itu must be a number (got None)"),
+     "stochastic.t_end_itu must be a finite number (got None)"),
     ("stochastic-seed-not-int", _resolve_with(_set("stochastic", seed=1.5)),
      "stochastic.seed must be an integer (got 1.5)"),
     ("stochastic-sample_dt-not-number",
      _resolve_with(_set("stochastic", sample_dt_itu=[])),
-     "stochastic.sample_dt_itu must be a number (got [])"),
+     "stochastic.sample_dt_itu must be a finite number (got [])"),
     ("stochastic-runs-not-int", _resolve_with(_set("stochastic", runs="many")),
      "stochastic.runs must be an integer (got 'many')"),
     ("stochastic-invalid", _resolve_with(_set("stochastic", runs=0)),
      "stochastic: runs must be an integer >= 1"),
     # kappa, extinction_threshold, compare_tolerance
     ("kappa-not-list", _resolve_with(_set(None, kappa="half")),
-     "kappa must be a number or a list of numbers"),
+     "kappa must be a number in (0, 1) (got 'half')"),
     ("kappa-not-number", _resolve_with(_set(None, kappa=[0.5, "x"])),
-     "kappa must be a number (got 'x')"),
+     "kappa[1] must be a number in (0, 1) (got 'x')"),
     ("kappa-out-of-range", _resolve_with(_set(None, kappa=1.5)),
-     "kappa values must lie strictly between 0 and 1"),
+     "kappa must be a number in (0, 1) (got 1.5)"),
     ("kappa-needs-no-patching", _resolve_with(_fixed, _set(None, kappa=[0.5])),
      "kappa spread levels apply only to defense no_patching"),
     ("threshold-not-number", _resolve_with(_set(None, extinction_threshold="1")),
-     "extinction_threshold must be a number (got '1')"),
+     "extinction_threshold must be a positive number (got '1')"),
     ("threshold-nonpositive", _resolve_with(_set(None, extinction_threshold=-1.0)),
-     "extinction_threshold must be positive"),
+     "extinction_threshold must be a positive number (got -1.0)"),
     ("tolerance-not-number", _resolve_with(_set(None, compare_tolerance=True)),
-     "compare_tolerance must be a number (got True)"),
+     "compare_tolerance must be a positive number (got True)"),
     ("tolerance-nonpositive", _resolve_with(_set(None, compare_tolerance=0.0)),
-     "compare_tolerance must be positive"),
+     "compare_tolerance must be a positive number (got 0.0)"),
     # monitors
     ("monitors-not-mapping", _resolve_with(_set(None, monitors=2.0)),
-     "monitors must be a mapping"),
+     "monitors must be a mapping (got 2.0)"),
     ("monitors-unknown", _resolve_with(_set("monitors", size=5)),
      "unknown key 'size' in monitors; allowed: count, deadline_itu"),
     ("monitors-needs-no-patching", _resolve_with(_fixed, _set("monitors", count=5)),
      "monitors block models undefended growth; defense must be no_patching"),
     ("monitors-deadline-not-number", _resolve_with(_set("monitors", deadline_itu="soon")),
-     "monitors.deadline_itu must be a number (got 'soon')"),
+     "monitors.deadline_itu must be a positive number (got 'soon')"),
     ("monitors-deadline-nonpositive", _resolve_with(_set("monitors", deadline_itu=0)),
-     "monitors.deadline_itu must be positive"),
+     "monitors.deadline_itu must be a positive number (got 0)"),
     ("monitors-count-not-int", _resolve_with(_set("monitors", count=2.5)),
      "monitors.count must be an integer (got 2.5)"),
     ("monitors-count-out-of-range", _resolve_with(_set("monitors", count=10001)),
-     "monitors.count must be in [1, n_hosts]"),
+     "monitors.count must be an integer in [1, n_hosts] (got 10001)"),
     ("monitors-empty", _resolve_with(_set(None, monitors={})),
      "monitors block needs deadline_itu and/or count"),
     # kappa values that repeat or print alike would share one report key
@@ -678,11 +659,15 @@ CONFIG_ERRORS = [
      "kappa values must differ in 6 significant digits (got 0.5, 0.5, 0.5)"),
     # integers too large for a float, as YAML reads a 1 followed by 400 zeros
     ("gamma-overflow", _resolve_with(_set("params", gamma=10**400)),
-     "params.gamma must be finite"),
+     "params.gamma must be a finite number (got "
+     "100000000000000000...0000000000000000000)"),
     ("kappa-overflow", _resolve_with(_set(None, kappa=[10**400])),
-     "kappa must be finite"),
+     "kappa[0] must be a number in (0, 1) (got "
+     "100000000000000000...0000000000000000000)"),
     ("load-directory", _load_directory,
      "cannot read {path}: Is a directory"),
+    ("kappa-list-out-of-range", _resolve_with(_set(None, kappa=[1.5])),
+     "kappa[0] must be a number in (0, 1) (got 1.5)"),
 ]
 
 
@@ -694,3 +679,60 @@ def test_config_error_texts(action, message, tmp_path):
     with pytest.raises(ConfigError) as info:
         action(tmp_path)
     assert str(info.value) == message.replace("{path}", str(tmp_path / "bad.yaml"))
+
+
+# (case id, mutation, resolved field, value) for edge inputs that must still
+# resolve: one value standing for a list, an empty kappa list, a null
+# monitors block, repeated engines and an integer where a float is read.
+ACCEPTED = [
+    ("kappa-empty", _set(None, kappa=[]), lambda scn: scn.kappa, ()),
+    ("kappa-scalar", _set(None, kappa=0.5), lambda scn: scn.kappa, (0.5,)),
+    ("monitors-null", _set(None, monitors=None), lambda scn: scn.monitoring, None),
+    ("engines-scalar", _set(None, engines="integrate"), lambda scn: scn.engines,
+     ("integrate",)),
+    ("engines-repeated", _set(None, engines=["integrate", "integrate"]),
+     lambda scn: scn.engines, ("integrate",)),
+    # report.json writes the float 2.0, not the integer 2
+    ("gamma-int", _set("params", gamma=2), lambda scn: json.dumps(scn.params.gamma),
+     "2.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,field,value",
+    [pytest.param(mutate, field, value, id=case) for case, mutate, field, value in ACCEPTED],
+)
+def test_edge_configs_resolve(mutate, field, value):
+    config = _nopatch_config()
+    mutate(config)
+    assert field(resolve_scenario(config)) == value
+
+
+LONG_TEXT = "x" * 10_000
+SCALAR_KEYS = [
+    (block, key, kind)
+    for block, table in [(None, cli._TOP), ("params", cli._PARAMS),
+                         ("integrator", cli._INTEGRATOR), ("stochastic", cli._STOCHASTIC),
+                         ("monitors", cli._MONITORS)]
+    for key, (kind, _default) in table.items()
+    if not isinstance(kind, list)
+]
+
+
+@pytest.mark.parametrize(
+    "block,key,kind",
+    SCALAR_KEYS,
+    ids=[key if block is None else f"{block}.{key}" for block, key, _kind in SCALAR_KEYS],
+)
+def test_wrong_type_fault_has_one_form(block, key, kind):
+    # A string kind gets a number; every other kind, and each nested block
+    # (kind None), a 10,000-character string.
+    value = 5 if kind in ("a string", "a non-empty string") else LONG_TEXT
+    where = key if block is None else f"{block}.{key}"
+    noun = "one of " + ", ".join(kind) if isinstance(kind, tuple) else kind or "a mapping"
+    config = _nopatch_config()
+    _set(block, **{key: value})(config)
+    with pytest.raises(ConfigError) as info:
+        resolve_scenario(config)
+    assert str(info.value) == f"{where} must be {noun} (got {reprlib.repr(value)})"
+    assert len(str(info.value)) < 200

@@ -66,6 +66,9 @@ def test_validate_accepts_and_returns_params(codered_fixed):
         (dict(i0=359990, p_bar=25), "i0 \\+ p_bar"),
         (dict(virulence=True), "virulence"),
         (dict(gamma=True), "gamma"),
+        (dict(virulence="x"), "virulence"),
+        (dict(virulence=None), "virulence"),
+        (dict(gamma=[2.0]), "gamma"),
     ],
 )
 def test_validate_rejects_bad_params(codered_fixed, overrides, message):
@@ -188,3 +191,14 @@ def test_validate_trajectory_rejects_defects():
     )
     with pytest.raises(ValueError, match="no samples"):
         validate_trajectory(empty)
+
+    # Every comparison with NaN is false, so each check must fail on one.
+    nan = np.full(3, np.nan)
+    nan_times = Trajectory(t_itu=nan, s=good.s, i=good.i, p=good.p, params=params,
+                           source=good.source)
+    with pytest.raises(ValueError, match="increasing"):
+        validate_trajectory(nan_times)
+    nan_states = Trajectory(t_itu=good.t_itu, s=nan, i=nan, p=nan, params=params,
+                            source=good.source)
+    with pytest.raises(ValueError, match="conservation"):
+        validate_trajectory(nan_states)

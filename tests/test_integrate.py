@@ -29,6 +29,10 @@ from wormsim.integrate import IntegratorConfig, integrate, validate_config
         (dict(t_end_itu=10.0, sample_stride=0), "sample_stride"),
         (dict(t_end_itu=10.0, sample_stride=True), "sample_stride"),
         (dict(t_end_itu=True), "t_end_itu"),
+        (dict(t_end_itu="5"), "t_end_itu"),
+        (dict(t_end_itu=10.0, dt_itu=None), "dt_itu"),
+        (dict(t_end_itu=10.0, dt_itu=[0.001]), "dt_itu"),
+        (dict(t_end_itu=10.0, sample_stride=2.0), "sample_stride"),
     ],
 )
 def test_config_validation(kwargs, message):

@@ -49,8 +49,9 @@ def test_monitors_for_detection_slammer_deadline(slammer):
 def test_monitors_for_detection_rejects_hopeless_deadline(slammer):
     with pytest.raises(ValueError, match="monitors"):
         monitors_for_detection(slammer, 1e-6)
-    with pytest.raises(ValueError, match="deadline"):
-        monitors_for_detection(slammer, 0.0)
+    for deadline in (0.0, float("nan"), "2.42", None, [2.42]):
+        with pytest.raises(ValueError, match="deadline"):
+            monitors_for_detection(slammer, deadline)
 
 
 def test_thumb_rule_fixed_servers():

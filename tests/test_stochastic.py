@@ -33,6 +33,10 @@ from wormsim.stochastic import (
         (dict(t_end_itu=5.0, seed=-1), "seed"),
         (dict(t_end_itu=5.0, seed=1, runs=True), "runs"),
         (dict(t_end_itu=5.0, seed=True), "seed"),
+        (dict(t_end_itu="5", seed=1), "t_end_itu"),
+        (dict(t_end_itu=5.0, seed=1, sample_dt_itu=None), "sample_dt_itu"),
+        (dict(t_end_itu=5.0, seed=1, runs=2.0), "runs"),
+        (dict(t_end_itu=5.0, seed="1"), "seed"),
     ],
 )
 def test_config_validation(kwargs, message):
@@ -301,7 +305,7 @@ def test_tiny_telescope_misses():
     assert np.all(np.isinf(times))
 
 
-@pytest.mark.parametrize("monitors", [0, 10001])
+@pytest.mark.parametrize("monitors", [0, 10001, 2.0, "5", None])
 def test_detection_monitor_bounds(monitors):
     params = _undefended(10000)
     with pytest.raises(ValueError):
