@@ -75,6 +75,43 @@ def test_resolve_scenario_defaults():
     assert scn.compare_tolerance == 0.10
 
 
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda c: c.update(bogus=1), "unknown key 'bogus'"),
+        (lambda c: c["params"].update(extra=2), "unknown key 'extra'"),
+        (lambda c: c["params"].pop("defense"), "params.defense is required"),
+        # An unknown name is reported as "must be one of ..."; the ids name the
+        # fault each of these two cases makes.
+        pytest.param(
+            lambda c: c["params"].update(defense="carrier_pigeon"),
+            "params.defense must be one of",
+            id="<lambda>-unknown defense",
+        ),
+        (lambda c: c.update(engines=[]), "engines"),
+        pytest.param(
+            lambda c: c.update(engines=["warp"]),
+            "engines\\[0\\] must be one of",
+            id="<lambda>-unknown engine",
+        ),
+        (lambda c: c["integrator"].update(dt_itu=0.5), "integrator"),
+        (lambda c: c.update(kappa=[1.5]), "kappa"),
+        (lambda c: c.update(extinction_threshold=-1.0), "extinction_threshold"),
+        (lambda c: c.update(compare_tolerance=0.0), "compare_tolerance"),
+        (lambda c: c["params"].update(i0=20000), "params"),
+        (
+            lambda c: c["params"].update(defense="fixed_servers", gamma=1.0, p_bar=5000),
+            "n_hosts > 2 \\* p_bar",
+        ),
+    ],
+)
+def test_resolve_scenario_rejects(mutate, fragment):
+    config = _nopatch_config()
+    mutate(config)
+    with pytest.raises(ConfigError, match=fragment):
+        resolve_scenario(config)
+
+
 def test_kappa_requires_no_patching():
     config = _nopatch_config(kappa=[0.5])
     config["params"]["defense"] = "peer_to_peer"
