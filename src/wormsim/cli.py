@@ -49,7 +49,6 @@ from .fluid import closed_form_trajectory, fixed_validity_window
 from .integrate import IntegratorConfig, integrate
 from .integrate import validate_config as validate_integrator_config
 from .metrics import (
-    SummaryMetrics,
     default_extinction_threshold,
     fixed_extinction_time,
     fixed_peak_time,
@@ -409,43 +408,40 @@ def run_engine(scn: ResolvedScenario, engine: str):
         raise NumericalError(f"engine {engine}: {exc}") from exc
 
 
-def _itu(tv: Optional[TimeValue]) -> Optional[float]:
-    return None if tv is None else float(tv.itu)
+def _report_json(unit: str, leaf):
+    """A quantity as report.json holds it: a TimeValue as {itu, wallclock,
+    unit}, a dict key by key, and a count, a None or any other value as is."""
+    if isinstance(leaf, dict):
+        return {key: _report_json(unit, value) for key, value in leaf.items()}
+    if isinstance(leaf, TimeValue):
+        return {"itu": leaf.itu, "wallclock": leaf.wallclock, "unit": unit}
+    return leaf
 
 
 def _time_json(params: ScenarioParams, unit: str, t_itu: Optional[float]) -> Optional[dict]:
-    if t_itu is None:
-        return None
-    tv = TimeValue.from_itu(float(t_itu), params)
-    return {"itu": tv.itu, "wallclock": tv.wallclock, "unit": unit}
+    """A plain ITU float, such as a halt or a deadline, rendered as a time."""
+    return None if t_itu is None else _report_json(unit, TimeValue.from_itu(float(t_itu), params))
 
 
-def measure_trajectory(
-    scn: ResolvedScenario, traj: Trajectory, summary: SummaryMetrics
-) -> dict:
-    """One engine's ``summarize`` result, JSON-ready."""
-    time = functools.partial(_time_json, scn.params, scn.time_unit)
-    block = {
-        "peak_time": time(summary.peak_time.itu),
-        "peak_infected": float(summary.peak_infected),
-        "extinction_threshold": summary.extinction_threshold,
-        "extinction_time": time(_itu(summary.extinction_time)),
-        "samples": int(len(traj.t_itu)),
-        "halt": time(traj.halt_itu),
-    }
-    if scn.kappa:
-        block["spread_time"] = {
-            f"{kappa:g}": time(_itu(tv)) for kappa, tv in summary.spread_times.items()
-        }
-    return block
+def _compare_names(quantities: dict) -> dict:
+    """{compare-table name: value} of a quantity dict, with times in ITU: a time
+    key gains "_itu", so spread_time["0.5"].itu is "spread_time_itu(kappa=0.5)"."""
+    named = {}
+    for key, leaf in quantities.items():
+        name = f"{key}_itu" if key.endswith("_time") else key
+        for label, value in (leaf.items() if isinstance(leaf, dict) else [(None, leaf)]):
+            named[name if label is None else f"{name}(kappa={label})"] = (
+                value.itu if isinstance(value, TimeValue) else value)
+    return named
 
 
-def _predictions(scn: ResolvedScenario) -> list:
-    """(quantity, analytic value, note) per predicted quantity, in table order."""
+def _predictions(scn: ResolvedScenario) -> tuple:
+    """(quantities, notes): the analytic quantities, keyed as report.json keys
+    them, and for each with no predictor (None) the note that says why."""
     params = scn.params
     if params.defense is DefenseKind.NO_PATCHING:
-        return [(f"spread_time_itu(kappa={kappa:g})", spread_time(params, kappa).itu, "")
-                for kappa in scn.kappa]
+        return {"spread_time": {f"{kappa:g}": spread_time(params, kappa)
+                                for kappa in scn.kappa}}, {}
     if params.defense is DefenseKind.FIXED_SERVERS:
         peak, extinction = fixed_peak_time(params), fixed_extinction_time(params)
         infected, note = None, "n/a (order-of-N scaling only)"
@@ -455,8 +451,8 @@ def _predictions(scn: ResolvedScenario) -> list:
             infected, note = p2p_peak_infected(params), ""
         except ValueError:
             infected, note = None, "n/a (gamma <= 1)"
-    return [("peak_time_itu", peak.itu, ""), ("peak_infected", infected, note),
-            ("extinction_time_itu", extinction.itu, "")]
+    quantities = {"peak_time": peak, "peak_infected": infected, "extinction_time": extinction}
+    return quantities, ({"peak_infected": note} if note else {})
 
 
 class Comparison(NamedTuple):
@@ -464,7 +460,7 @@ class Comparison(NamedTuple):
 
     ``analytic`` is None, and ``note`` says why, where the defense has no
     predictor.  ``measured`` maps each engine to its value or None, and
-    ``errors`` each engine with a value to its relative error.
+    ``errors`` each engine with a value to its relative error, if any.
     """
 
     quantity: str
@@ -474,33 +470,22 @@ class Comparison(NamedTuple):
     errors: dict
 
 
-def _compared_values(summary: SummaryMetrics) -> dict:
-    """Every quantity a Comparison can name, from one ``summarize`` result."""
-    values = {
-        f"spread_time_itu(kappa={kappa:g})": _itu(tv)
-        for kappa, tv in summary.spread_times.items()
-    }
-    values["peak_time_itu"] = _itu(summary.peak_time)
-    values["peak_infected"] = float(summary.peak_infected)
-    values["extinction_time_itu"] = _itu(summary.extinction_time)
-    return values
-
-
-def comparisons(scn: ResolvedScenario, summaries: dict) -> list:
-    """One Comparison per predicted quantity, from each engine's ``summarize``.
-
-    Times are compared in ITU; the wallclock ratio is identical.
-    """
-    values = {engine: _compared_values(summary) for engine, summary in summaries.items()}
+def comparisons(analytic: dict, notes: dict, measured: dict) -> list:
+    """One Comparison per analytic quantity, read by compare-table name from
+    the analytic quantities and each engine's (``measured``).  Times are
+    compared in ITU; the wallclock ratio is identical.  A quantity with no
+    predictor, or whose analytic value is 0, gets no relative error."""
+    values = {engine: _compare_names(quantities) for engine, quantities in measured.items()}
+    notes = _compare_names(notes)
     records = []
-    for quantity, reference, note in _predictions(scn):
-        measured = {engine: values[engine][quantity] for engine in values}
-        errors = {} if reference is None else {
+    for quantity, reference in _compare_names(analytic).items():
+        row = {engine: values[engine][quantity] for engine in values}
+        errors = {} if not reference else {
             engine: abs(value - reference) / abs(reference)
-            for engine, value in measured.items()
+            for engine, value in row.items()
             if value is not None
         }
-        records.append(Comparison(quantity, reference, note, measured, errors))
+        records.append(Comparison(quantity, reference, notes.get(quantity, ""), row, errors))
     return records
 
 
@@ -513,47 +498,47 @@ def relative_errors(records: list) -> dict:
     return out
 
 
-def _analytic_json(scn: ResolvedScenario, records: list) -> dict:
-    """The report's analytic block, from the comparison records."""
-    time = functools.partial(_time_json, scn.params, scn.time_unit)
-    if scn.params.defense is DefenseKind.NO_PATCHING:
-        return {"spread_time": {f"{kappa:g}": time(record.analytic)
-                                for kappa, record in zip(scn.kappa, records)}}
-    peak, infected, extinction = records
-    block = {"peak_time": time(peak.analytic), "peak_infected": infected.analytic,
-             "extinction_time": time(extinction.analytic)}
-    if infected.note:
-        block["peak_infected_note"] = infected.note
-    return block
-
-
 @dataclass(frozen=True)
 class Evaluation:
-    """Every engine's trajectory and measurement, compared with the analytics."""
+    """Each engine's trajectory and report block, the analytic block, and their comparisons."""
 
     trajectories: dict
     measured: dict
+    analytic: dict
     comparisons: list
     worst: Optional[float]
 
 
 def evaluate(scn: ResolvedScenario) -> Evaluation:
-    """Run and measure each engine; compare the measurements with the analytics."""
-    trajectories = {}
-    summaries = {}
-    measured = {}
+    """Run and measure each engine; compare the measurements with the analytics.
+
+    An engine's quantities take the keys and shape of ``_predictions``.
+    """
+    trajectories, quantities, measured = {}, {}, {}
     for engine in scn.engines:
         traj, extras = run_engine(scn, engine)
+        summary = summarize(traj, scn.extinction_threshold, scn.kappa)
         trajectories[engine] = traj
-        summaries[engine] = summarize(traj, scn.extinction_threshold, scn.kappa)
-        measured[engine] = measure_trajectory(scn, traj, summaries[engine])
+        quantities[engine] = {"peak_time": summary.peak_time,
+                              "peak_infected": summary.peak_infected,
+                              "extinction_time": summary.extinction_time}
+        if scn.kappa:
+            quantities[engine]["spread_time"] = {
+                f"{kappa:g}": tv for kappa, tv in summary.spread_times.items()}
+        measured[engine] = dict(
+            _report_json(scn.time_unit, quantities[engine]),
+            extinction_threshold=summary.extinction_threshold, samples=len(traj.t_itu),
+            halt=_time_json(scn.params, scn.time_unit, traj.halt_itu))
         if extras:
             measured[engine]["stochastic"] = extras
-    records = comparisons(scn, summaries)
+    analytic, notes = _predictions(scn)
+    records = comparisons(analytic, notes, quantities)
     worst = max(
         (error for record in records for error in record.errors.values()), default=None
     )
-    return Evaluation(trajectories, measured, records, worst)
+    block = _report_json(scn.time_unit, analytic)
+    block.update((f"{key}_note", note) for key, note in notes.items())
+    return Evaluation(trajectories, measured, block, records, worst)
 
 
 def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
@@ -572,7 +557,7 @@ def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
             "p_bar": params.p_bar,
         },
         "engines": result.measured,
-        "analytic": _analytic_json(scn, result.comparisons),
+        "analytic": result.analytic,
         "relative_errors": relative_errors(result.comparisons),
         "tolerance": {
             "compare_tolerance": scn.compare_tolerance,

@@ -166,6 +166,13 @@ def trajectory_peak(traj: Trajectory) -> tuple[TimeValue, float]:
     return TimeValue.from_itu(t_k, traj.params), y_k
 
 
+def _crossing(traj: Trajectory, j: int, level: float) -> TimeValue:
+    """Time I crosses level between samples j and j + 1, linearly interpolated."""
+    t0, t1 = float(traj.t_itu[j]), float(traj.t_itu[j + 1])
+    y0, y1 = float(traj.i[j]), float(traj.i[j + 1])
+    return TimeValue.from_itu(t0 + (level - y0) / (y1 - y0) * (t1 - t0), traj.params)
+
+
 def trajectory_extinction(
     traj: Trajectory, threshold: Optional[float] = None
 ) -> TimeValue:
@@ -191,10 +198,7 @@ def trajectory_extinction(
             f"never_extinct: infection still at {float(traj.i[j]):g} >= "
             f"threshold {threshold:g} at the end of the trajectory"
         )
-    t0, t1 = float(traj.t_itu[j]), float(traj.t_itu[j + 1])
-    y0, y1 = float(traj.i[j]), float(traj.i[j + 1])
-    t_cross = t0 + (y0 - threshold) / (y0 - y1) * (t1 - t0)
-    return TimeValue.from_itu(t_cross, traj.params)
+    return _crossing(traj, j, threshold)
 
 
 def trajectory_spread_time(traj: Trajectory, kappa: float) -> TimeValue:
@@ -214,10 +218,7 @@ def trajectory_spread_time(traj: Trajectory, kappa: float) -> TimeValue:
     j = int(reached[0])
     if j == 0:
         return TimeValue.from_itu(float(traj.t_itu[0]), traj.params)
-    t0, t1 = float(traj.t_itu[j - 1]), float(traj.t_itu[j])
-    y0, y1 = float(traj.i[j - 1]), float(traj.i[j])
-    t_cross = t0 + (level - y0) / (y1 - y0) * (t1 - t0)
-    return TimeValue.from_itu(t_cross, traj.params)
+    return _crossing(traj, j - 1, level)
 
 
 def summarize(

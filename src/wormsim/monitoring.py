@@ -37,8 +37,10 @@ class MonitorPlan:
 def expected_scans(t, params: ScenarioParams, monitors: int):
     """Expected cumulative monitor hits by ITU time t.
 
-    M_bar(t) = monitors * ln(1 + (I0/N) * (e^t - 1)), evaluated in
-    log-sum form so large t cannot overflow.  Accepts scalar or array t.
+    M_bar(t) = monitors * ln(1 + (I0/N) * (e^t - 1)).  The logarithm is
+    evaluated in log-sum form, so it stays finite for large t; the product
+    with ``monitors`` can still pass the float range, and is then inf, with
+    no warning.  Accepts scalar or array t.
     Raises ValueError unless ``monitors`` is an integer >= 1.
     """
     validate(params)
@@ -49,7 +51,8 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
         raise ValueError("t must be >= 0")
     frac = params.i0 / params.n_hosts
     log_a = np.logaddexp(math.log1p(-frac), math.log(frac) + t)
-    out = monitors * log_a
+    with np.errstate(over="ignore"):
+        out = monitors * log_a
     return float(out) if out.ndim == 0 else out
 
 

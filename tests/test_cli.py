@@ -4,6 +4,9 @@ import csv
 import json
 import os
 import reprlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from wormsim.cli import (
 from wormsim.core import Trajectory, TrajectorySource
 from wormsim.scenarios import builtin_names
 from wormsim.stochastic import simulate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # --- virulence parsing --------------------------------------------------
@@ -265,6 +270,47 @@ def test_non_finite_report_value_writes_nothing(tmp_path, capsys):
     assert err.startswith("numerical failure: report.json: ") and err.count("\n") == 1
 
 
+def test_non_finite_report_value_prints_one_line(tmp_path):
+    # In a fresh interpreter, so that numpy's overflow warning, which pytest
+    # would catch, reaches stderr if it is raised: run prints only its
+    # one-line message, and compare, which writes no report, prints nothing.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    sets = ["--config", "monitoring-slammer", "--set", "monitors.deadline_itu=1e308"]
+    for verb, code, lines in ((["run", "--out", str(tmp_path / "X")], 3, 1),
+                              (["compare"], 0, 0)):
+        proc = subprocess.run([sys.executable, "-m", "wormsim.cli"] + verb + sets, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr.count("\n")) == (code, lines), proc.stderr
+
+
+# (case id, config, --set assignments, compare's exit code, the quantity whose
+# analytic value is 0): such a quantity gets no relative error, as one with
+# no predictor does, and its value and measurements are still reported.
+ZERO_PREDICTIONS = [
+    ("spread-time", "codered-nopatch", ["params.n_hosts=50", "kappa=0.5"], 0,
+     "spread_time_itu(kappa=0.5)"),
+    ("spread-time-two-hosts", "codered-nopatch", ["params.n_hosts=2", "params.i0=1"], 0,
+     "spread_time_itu(kappa=0.5)"),
+    ("fixed-peak-time", "codered-fixed",
+     ["params.n_hosts=100", "params.p_bar=10", "params.i0=10", "params.gamma=100"], 1,
+     "peak_time_itu"),
+    ("p2p-peak-time", "codered-p2p-g2",
+     ["params.n_hosts=1000", "params.p_bar=500", "params.i0=10"], 1, "peak_time_itu"),
+]
+
+
+@pytest.mark.parametrize("config,sets,code,quantity", [v[1:] for v in ZERO_PREDICTIONS],
+                         ids=[v[0] for v in ZERO_PREDICTIONS])
+def test_zero_prediction_has_no_relative_error(config, sets, code, quantity, tmp_path, capsys):
+    argv = ["--config", config] + [arg for item in sets for arg in ("--set", item)]
+    assert main(["compare"] + argv) == code
+    row = [line for line in capsys.readouterr().out.splitlines() if line.startswith(quantity)]
+    assert len(row) == 1 and row[0].split()[1] == "0" and "%" not in row[0]
+    assert main(["run", "--out", str(tmp_path / "out")] + argv) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert all(quantity not in errors for errors in report["relative_errors"].values())
+
+
 # --- run artifacts ------------------------------------------------------
 
 
@@ -439,6 +485,7 @@ VARIANTS = [
     ("kappa-never-reached", "codered-nopatch",
      ["kappa=0.999999", "integrator.t_end_itu=5"]),
     ("extinction-never-reached", "codered-fixed", ["integrator.t_end_itu=5"]),
+    ("spread-time-zero", "codered-nopatch", ["params.n_hosts=50", "kappa=0.5"]),
 ]
 
 
