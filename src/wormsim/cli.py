@@ -32,7 +32,7 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -372,7 +372,9 @@ def _closed_form_grid(scn: ResolvedScenario) -> np.ndarray:
         t_hi = min(t_hi, fixed_validity_window(scn.params))
     n_pts = int(math.floor(t_hi / dt + 1e-9))
     grid = np.arange(n_pts + 1) * dt
-    if grid[-1] < t_hi * (1.0 - 1e-12):
+    if grid[-1] > t_hi:  # the slack above may step past a validity window
+        grid[-1] = t_hi
+    elif grid[-1] < t_hi * (1.0 - 1e-12):
         grid = np.append(grid, t_hi)
     return grid
 
@@ -455,95 +457,73 @@ def _predictions(scn: ResolvedScenario) -> tuple:
     return quantities, ({"peak_infected": note} if note else {})
 
 
-class Comparison(NamedTuple):
-    """One analytic quantity against each engine's measurement of it.
-
-    ``analytic`` is None, and ``note`` says why, where the defense has no
-    predictor.  ``measured`` maps each engine to its value or None, and
-    ``errors`` each engine with a value to its relative error, if any.
-    """
-
-    quantity: str
-    analytic: Optional[float]
-    note: str
-    measured: dict
-    errors: dict
-
-
-def comparisons(analytic: dict, notes: dict, measured: dict) -> list:
-    """One Comparison per analytic quantity, read by compare-table name from
-    the analytic quantities and each engine's (``measured``).  Times are
-    compared in ITU; the wallclock ratio is identical.  A quantity with no
-    predictor, or whose analytic value is 0, gets no relative error."""
-    values = {engine: _compare_names(quantities) for engine, quantities in measured.items()}
-    notes = _compare_names(notes)
-    records = []
-    for quantity, reference in _compare_names(analytic).items():
-        row = {engine: values[engine][quantity] for engine in values}
-        errors = {} if not reference else {
-            engine: abs(value - reference) / abs(reference)
-            for engine, value in row.items()
-            if value is not None
-        }
-        records.append(Comparison(quantity, reference, notes.get(quantity, ""), row, errors))
-    return records
-
-
-def relative_errors(records: list) -> dict:
-    """The records' relative errors as {engine: {quantity: error}}."""
-    out = {}
-    for record in records:
-        for engine, error in record.errors.items():
-            out.setdefault(engine, {})[record.quantity] = error
-    return out
-
-
 @dataclass(frozen=True)
 class Evaluation:
-    """Each engine's trajectory and report block, the analytic block, and their comparisons."""
+    """Each engine's trajectory and report block, the analytic block, and the
+    relative errors as {engine: {name: error}}; ``predicted``, ``notes`` and
+    ``values`` hold the analytic values, their notes and each engine's values
+    by compare-table name."""
 
     trajectories: dict
     measured: dict
     analytic: dict
-    comparisons: list
-    worst: Optional[float]
+    errors: dict
+    predicted: dict
+    notes: dict
+    values: dict
 
 
-def evaluate(scn: ResolvedScenario) -> Evaluation:
-    """Run and measure each engine; compare the measurements with the analytics.
+def evaluate(scn: ResolvedScenario) -> tuple:
+    """(Evaluation, report): run and measure each engine, compare each
+    measurement with its analytic value, and build the report, in which a NaN
+    or infinity is a NumericalError.
 
-    An engine's quantities take the keys and shape of ``_predictions``.
+    An engine's quantities take the keys and shape of ``_predictions``.  Times
+    are compared in ITU; the wallclock ratio is identical.  A quantity with no
+    predictor, or whose analytic value is 0, gets no relative error.
     """
-    trajectories, quantities, measured = {}, {}, {}
+    trajectories, values, measured = {}, {}, {}
     for engine in scn.engines:
         traj, extras = run_engine(scn, engine)
         summary = summarize(traj, scn.extinction_threshold, scn.kappa)
         trajectories[engine] = traj
-        quantities[engine] = {"peak_time": summary.peak_time,
-                              "peak_infected": summary.peak_infected,
-                              "extinction_time": summary.extinction_time}
+        quantities = {"peak_time": summary.peak_time,
+                      "peak_infected": summary.peak_infected,
+                      "extinction_time": summary.extinction_time}
         if scn.kappa:
-            quantities[engine]["spread_time"] = {
+            quantities["spread_time"] = {
                 f"{kappa:g}": tv for kappa, tv in summary.spread_times.items()}
+        values[engine] = _compare_names(quantities)
         measured[engine] = dict(
-            _report_json(scn.time_unit, quantities[engine]),
+            _report_json(scn.time_unit, quantities),
             extinction_threshold=summary.extinction_threshold, samples=len(traj.t_itu),
             halt=_time_json(scn.params, scn.time_unit, traj.halt_itu))
         if extras:
             measured[engine]["stochastic"] = extras
     analytic, notes = _predictions(scn)
-    records = comparisons(analytic, notes, quantities)
-    worst = max(
-        (error for record in records for error in record.errors.values()), default=None
-    )
+    predicted, errors = _compare_names(analytic), {}
+    for engine, named in values.items():
+        for name, reference in predicted.items():
+            if reference and named[name] is not None:
+                errors.setdefault(engine, {})[name] = (
+                    abs(named[name] - reference) / abs(reference))
     block = _report_json(scn.time_unit, analytic)
     block.update((f"{key}_note", note) for key, note in notes.items())
-    return Evaluation(trajectories, measured, block, records, worst)
+    result = Evaluation(trajectories, measured, block, errors, predicted,
+                        _compare_names(notes), values)
+    report = build_report(scn, result)
+    try:
+        json.dumps(report, allow_nan=False)  # before any file is written
+    except ValueError as exc:
+        raise NumericalError(f"report.json: {exc}") from exc
+    return result, report
 
 
 def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
     """The report.json mapping for an evaluated scenario."""
     params = scn.params
+    worst = max((error for errors in result.errors.values() for error in errors.values()),
+                default=None)
     report = {
         "scenario": scn.name,
         "description": scn.description,
@@ -558,11 +538,11 @@ def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
         },
         "engines": result.measured,
         "analytic": result.analytic,
-        "relative_errors": relative_errors(result.comparisons),
+        "relative_errors": result.errors,
         "tolerance": {
             "compare_tolerance": scn.compare_tolerance,
-            "worst_relative_error": result.worst,
-            "within_tolerance": result.worst is None or result.worst <= scn.compare_tolerance,
+            "worst_relative_error": worst,
+            "within_tolerance": worst is None or worst <= scn.compare_tolerance,
         },
         "environment": {
             "package": f"wormsim {__version__}",
@@ -600,17 +580,16 @@ def _format_value(value) -> str:
     return f"{value:.6g}"
 
 
-def format_comparison_table(scn: ResolvedScenario, records: list) -> str:
+def format_comparison_table(scn: ResolvedScenario, result: Evaluation) -> str:
     engines = list(scn.engines)
     header = ["quantity", "analytic"] + engines
     table = [header]
-    for record in records:
-        analytic = _format_value(record.analytic)
-        line = [record.quantity, record.note if record.analytic is None else analytic]
+    for name, analytic in result.predicted.items():
+        line = [name, result.notes.get(name, "") if analytic is None else _format_value(analytic)]
         for engine in engines:
-            cell = _format_value(record.measured.get(engine))
-            if engine in record.errors:
-                cell += f" ({100.0 * record.errors[engine]:.2f}%)"
+            cell = _format_value(result.values[engine][name])
+            if name in result.errors.get(engine, {}):
+                cell += f" ({100.0 * result.errors[engine][name]:.2f}%)"
             line.append(cell)
         table.append(line)
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
@@ -636,12 +615,7 @@ def _scenario_banner(scn: ResolvedScenario) -> str:
 
 
 def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
-    result = evaluate(scn)
-    report = build_report(scn, result)
-    try:
-        json.dumps(report, allow_nan=False)  # before any file is written
-    except ValueError as exc:
-        raise NumericalError(f"report.json: {exc}") from exc
+    result, report = evaluate(scn)
     csv_paths = {engine: os.path.join(out_dir, f"{scn.name}_{engine}.csv")
                  for engine in result.trajectories}
     report_path = os.path.join(out_dir, "report.json")
@@ -656,30 +630,27 @@ def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
     for engine, csv_path in csv_paths.items():
         print(f"wrote {csv_path} ({len(result.trajectories[engine].t_itu)} samples)")
     print(f"wrote {report_path}")
-    if result.worst is not None:
-        print(
-            f"worst relative error {result.worst:.4g} "
-            f"(tolerance {scn.compare_tolerance:g})"
-        )
+    worst = report["tolerance"]["worst_relative_error"]
+    if worst is not None:
+        print(f"worst relative error {worst:.4g} (tolerance {scn.compare_tolerance:g})")
     return 0
 
 
 def cmd_compare(scn: ResolvedScenario) -> int:
-    result = evaluate(scn)
+    result, report = evaluate(scn)
     print(_scenario_banner(scn))
-    if not result.comparisons:
+    if not result.predicted:
         print("no analytic comparisons defined for this scenario")
         return 0
-    print(format_comparison_table(scn, result.comparisons))
-    if result.worst is None:
-        print("no measured quantities to compare")
+    print(format_comparison_table(scn, result))
+    tolerance = report["tolerance"]
+    if tolerance["worst_relative_error"] is None:
+        print("no relative errors to check against the tolerance")
         return 0
-    verdict = "OK" if result.worst <= scn.compare_tolerance else "FAIL"
-    print(
-        f"worst relative error {result.worst:.4g} vs tolerance "
-        f"{scn.compare_tolerance:g}: {verdict}"
-    )
-    return 0 if verdict == "OK" else 1
+    verdict = "OK" if tolerance["within_tolerance"] else "FAIL"
+    print(f"worst relative error {tolerance['worst_relative_error']:.4g} vs tolerance "
+          f"{scn.compare_tolerance:g}: {verdict}")
+    return 0 if tolerance["within_tolerance"] else 1
 
 
 def cmd_list_scenarios() -> int:

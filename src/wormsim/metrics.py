@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory, validate
+from .fluid import fixed_validity_window
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,7 @@ def fixed_extinction_time(params: ScenarioParams) -> TimeValue:
     _require_defense(params, DefenseKind.FIXED_SERVERS, "fixed_extinction_time")
     if params.n_hosts <= 2 * params.p_bar:
         raise ValueError("fixed_extinction_time needs n_hosts > 2 * p_bar")
-    t = (params.n_hosts - 2.0 * params.p_bar) / (params.gamma * params.p_bar)
-    return TimeValue.from_itu(t, params)
+    return TimeValue.from_itu(fixed_validity_window(params), params)
 
 
 def p2p_peak_time(params: ScenarioParams) -> TimeValue:

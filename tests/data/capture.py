@@ -9,7 +9,8 @@ of ``wormsim compare`` on it, and ``cli_variants.json`` maps each case of
 compare output.  Both are built with the same helpers and arguments
 that ``tests/test_cli.py`` asserts with, so a rebuild at an unchanged
 tree writes the same bytes.  Re-pin a golden only for a deliberate change,
-and show that change with ``--check`` first.
+and show that change with ``--check`` first: it prints each changed leaf's
+path, old and new value, and for a number its relative change.
 """
 
 import argparse
@@ -72,6 +73,33 @@ def leaves(node, path: str = "") -> dict:
     return out
 
 
+def _number(text: str):
+    """The number a leaf's JSON text holds, or None for any other leaf."""
+    try:
+        value = json.loads(text)
+    except ValueError:  # "(absent)"
+        return None
+    return None if isinstance(value, bool) or not isinstance(value, (int, float)) else value
+
+
+def changed_leaves(name: str, old_text: str, new_text: str) -> list:
+    """One line "<name><path>: <old> -> <new>" per leaf that differs between two
+    texts of a golden; a number that was not 0 also gets its relative change
+    (new - old) / |old|."""
+    old, new = leaves(json.loads(old_text)), leaves(json.loads(new_text))
+    lines = []
+    for path in sorted(set(old) | set(new)):
+        before, after = old.get(path, "(absent)"), new.get(path, "(absent)")
+        if before == after:
+            continue
+        line = f"{name}{path}: {before} -> {after}"
+        a, b = _number(before), _number(after)
+        if a and b is not None:
+            line += f" (relative change {(b - a) / abs(a):+.3g})"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -94,11 +122,10 @@ def main(argv=None) -> int:
                 fh.write(text)
             print(f"{name}: rewritten")
             continue
-        old, new = leaves(json.loads(old_text)), leaves(json.loads(text))
-        paths = [p for p in sorted(set(old) | set(new)) if old.get(p) != new.get(p)]
-        for leaf in paths:
-            print(f"{name}{leaf}: {old.get(leaf, '(absent)')} -> {new.get(leaf, '(absent)')}")
-        print(f"{name}: {len(paths)} changed leaves" if paths
+        lines = changed_leaves(name, old_text, text)
+        for line in lines:
+            print(line)
+        print(f"{name}: {len(lines)} changed leaves" if lines
               else f"{name}: same leaves, different bytes")
     return 1 if args.check and changed else 0
 

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, config schema, artifacts, exit codes."""
 
 import csv
+import importlib.util
 import json
 import os
 import reprlib
@@ -21,6 +22,7 @@ from wormsim.cli import (
     resolve_scenario,
 )
 from wormsim.core import Trajectory, TrajectorySource
+from wormsim.fluid import fixed_validity_window
 from wormsim.scenarios import builtin_names
 from wormsim.stochastic import simulate
 
@@ -212,6 +214,22 @@ def test_compare_marks_subcritical_peak_na(capsys):
     assert "n/a (gamma <= 1)" in capsys.readouterr().out
 
 
+def test_closed_form_grid_ends_at_fixed_validity_window(capsys):
+    # t_hi / dt lies just below a whole number, so the grid's floor slack
+    # steps past the window, where closed_form_fixed raises.
+    sets = ["params.n_hosts=1000", "params.p_bar=1", "params.gamma=99.80000000499",
+            "params.i0=1", "integrator.dt_itu=0.01", "integrator.sample_stride=100"]
+    config = load_config("codered-fixed")
+    for assignment in sets:
+        apply_override(config, assignment)
+    scn = resolve_scenario(config)
+    traj, _extras = cli.run_engine(scn, "closed_form")
+    assert traj.t_itu[-1] == fixed_validity_window(scn.params)
+    argv = ["compare", "--config", "codered-fixed", "--engines", "closed_form"]
+    assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_compare_unknown_scenario_is_config_error(capsys):
     assert main(["compare", "--config", "no-such-scenario"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -272,12 +290,12 @@ def test_non_finite_report_value_writes_nothing(tmp_path, capsys):
 
 def test_non_finite_report_value_prints_one_line(tmp_path):
     # In a fresh interpreter, so that numpy's overflow warning, which pytest
-    # would catch, reaches stderr if it is raised: run prints only its
-    # one-line message, and compare, which writes no report, prints nothing.
+    # would catch, reaches stderr if it is raised: run and compare, which
+    # build the same report, each print only the one-line message.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     sets = ["--config", "monitoring-slammer", "--set", "monitors.deadline_itu=1e308"]
     for verb, code, lines in ((["run", "--out", str(tmp_path / "X")], 3, 1),
-                              (["compare"], 0, 0)):
+                              (["compare"], 3, 1)):
         proc = subprocess.run([sys.executable, "-m", "wormsim.cli"] + verb + sets, env=env,
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr.count("\n")) == (code, lines), proc.stderr
@@ -511,6 +529,18 @@ def test_variant_outputs_are_pinned(case, config, sets, tmp_path, capsys):
     outputs = _variant_outputs(config, sets, tmp_path / "out", capsys)
     assert (json.dumps(outputs, indent=2, sort_keys=True)
             == json.dumps(golden, indent=2, sort_keys=True))
+
+
+def test_capture_check_prints_relative_change(monkeypatch):
+    # capture.py --check's lines for two goldens that differ in one number.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # capture.py prepends to it
+    spec = importlib.util.spec_from_file_location("capture", ROOT / "tests" / "data" / "capture.py")
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    old = json.dumps({"case": {"exit": 1, "report": {"peak": 2.0, "name": "x"}}})
+    new = json.dumps({"case": {"exit": 1, "report": {"peak": 2.5, "name": "x"}}})
+    assert capture.changed_leaves("golden.json", old, new) == [
+        "golden.json/case/report/peak: 2.0 -> 2.5 (relative change +0.25)"]
 
 
 @pytest.mark.parametrize("name", [n for n in builtin_names() if n.endswith("-desk")])
