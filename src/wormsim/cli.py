@@ -115,9 +115,10 @@ def _real(value) -> float:
         return math.inf
 
 
-# Kind nouns: a type test each, or for a number kind the open range of its float.
+# Kind nouns: a type test each, or for a number kind the open range of its float;
+# an integer too large for a float is not "an integer".
 _TYPES = {
-    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "an integer": lambda value: isinstance(value, int) and math.isfinite(_real(value)),
     "a string": lambda value: isinstance(value, str),
     "a non-empty string": lambda value: isinstance(value, str) and value != "",
     "a mapping": lambda value: isinstance(value, dict),
@@ -172,19 +173,19 @@ _PARAMS = {
     "virulence": ("a string", _REQUIRED),
     "i0": ("an integer", _REQUIRED),
     "defense": (tuple(kind.value for kind in DefenseKind), _REQUIRED),
-    "gamma": ("a finite number", 1.0),
-    "p_bar": ("an integer", 0),
+    "gamma": ("a finite number", ScenarioParams.gamma),
+    "p_bar": ("an integer", ScenarioParams.p_bar),
 }
 _INTEGRATOR = {
     "t_end_itu": ("a finite number", 50.0),
-    "dt_itu": ("a finite number", 0.001),
-    "sample_stride": ("an integer", 10),
+    "dt_itu": ("a finite number", IntegratorConfig.dt_itu),
+    "sample_stride": ("an integer", IntegratorConfig.sample_stride),
 }
 _STOCHASTIC = {
     "t_end_itu": ("a finite number", None),
     "seed": ("an integer", 12345),
-    "sample_dt_itu": ("a finite number", 0.05),
-    "runs": ("an integer", 1),
+    "sample_dt_itu": ("a finite number", StochasticConfig.sample_dt_itu),
+    "runs": ("an integer", StochasticConfig.runs),
 }
 _MONITORS = {
     "deadline_itu": ("a positive number", None),
@@ -425,104 +426,91 @@ def _time_json(params: ScenarioParams, unit: str, t_itu: Optional[float]) -> Opt
     return None if t_itu is None else _report_json(unit, TimeValue.from_itu(float(t_itu), params))
 
 
-def _compare_names(quantities: dict) -> dict:
-    """{compare-table name: value} of a quantity dict, with times in ITU: a time
-    key gains "_itu", so spread_time["0.5"].itu is "spread_time_itu(kappa=0.5)"."""
+# The keys of the quantities that an engine block and the analytic block share.
+_QUANTITIES = ("peak_time", "peak_infected", "extinction_time", "spread_time")
+
+
+def _compare_names(block: dict) -> dict:
+    """{compare-table name: value} of the quantities of a report block, with
+    times in ITU: a time key gains "_itu", so block["spread_time"]["0.5"]["itu"]
+    is "spread_time_itu(kappa=0.5)".  Other keys of the block are left out."""
     named = {}
-    for key, leaf in quantities.items():
+    for key, leaf in block.items():
+        if key not in _QUANTITIES:
+            continue
         name = f"{key}_itu" if key.endswith("_time") else key
-        for label, value in (leaf.items() if isinstance(leaf, dict) else [(None, leaf)]):
+        labelled = isinstance(leaf, dict) and "itu" not in leaf  # {kappa label: time}
+        for label, value in (leaf.items() if labelled else [(None, leaf)]):
             named[name if label is None else f"{name}(kappa={label})"] = (
-                value.itu if isinstance(value, TimeValue) else value)
+                value["itu"] if isinstance(value, dict) else value)
     return named
 
 
-def _predictions(scn: ResolvedScenario) -> tuple:
-    """(quantities, notes): the analytic quantities, keyed as report.json keys
-    them, and for each with no predictor (None) the note that says why."""
+def _predictions(scn: ResolvedScenario) -> dict:
+    """The report's analytic block: the analytic quantities as report.json holds
+    them, and beside each with no predictor (None) a "<key>_note" that says why."""
     params = scn.params
     if params.defense is DefenseKind.NO_PATCHING:
-        return {"spread_time": {f"{kappa:g}": spread_time(params, kappa)
-                                for kappa in scn.kappa}}, {}
+        return _report_json(scn.time_unit, {"spread_time": {
+            f"{kappa:g}": spread_time(params, kappa) for kappa in scn.kappa}})
     if params.defense is DefenseKind.FIXED_SERVERS:
         peak, extinction = fixed_peak_time(params), fixed_extinction_time(params)
-        infected, note = None, "n/a (order-of-N scaling only)"
+        infected, notes = None, {"peak_infected_note": "n/a (order-of-N scaling only)"}
     else:
         peak, extinction = p2p_peak_time(params), p2p_extinction_time(params)
         try:
-            infected, note = p2p_peak_infected(params), ""
+            infected, notes = p2p_peak_infected(params), {}
         except ValueError:
-            infected, note = None, "n/a (gamma <= 1)"
-    quantities = {"peak_time": peak, "peak_infected": infected, "extinction_time": extinction}
-    return quantities, ({"peak_infected": note} if note else {})
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Each engine's trajectory and report block, the analytic block, and the
-    relative errors as {engine: {name: error}}; ``predicted``, ``notes`` and
-    ``values`` hold the analytic values, their notes and each engine's values
-    by compare-table name."""
-
-    trajectories: dict
-    measured: dict
-    analytic: dict
-    errors: dict
-    predicted: dict
-    notes: dict
-    values: dict
+            infected, notes = None, {"peak_infected_note": "n/a (gamma <= 1)"}
+    return _report_json(scn.time_unit, {"peak_time": peak, "peak_infected": infected,
+                                        "extinction_time": extinction, **notes})
 
 
 def evaluate(scn: ResolvedScenario) -> tuple:
-    """(Evaluation, report): run and measure each engine, compare each
-    measurement with its analytic value, and build the report, in which a NaN
-    or infinity is a NumericalError.
+    """(trajectories, report, text): run and measure each engine, compare each
+    measurement with its analytic value, build the report and serialise it as
+    report.json holds it; a NaN or infinity in the report is a NumericalError.
 
     An engine's quantities take the keys and shape of ``_predictions``.  Times
     are compared in ITU; the wallclock ratio is identical.  A quantity with no
     predictor, or whose analytic value is 0, gets no relative error.
     """
-    trajectories, values, measured = {}, {}, {}
+    trajectories, measured = {}, {}
     for engine in scn.engines:
         traj, extras = run_engine(scn, engine)
         summary = summarize(traj, scn.extinction_threshold, scn.kappa)
         trajectories[engine] = traj
-        quantities = {"peak_time": summary.peak_time,
-                      "peak_infected": summary.peak_infected,
+        quantities = {"peak_time": summary.peak_time, "peak_infected": summary.peak_infected,
                       "extinction_time": summary.extinction_time}
         if scn.kappa:
             quantities["spread_time"] = {
                 f"{kappa:g}": tv for kappa, tv in summary.spread_times.items()}
-        values[engine] = _compare_names(quantities)
         measured[engine] = dict(
             _report_json(scn.time_unit, quantities),
             extinction_threshold=summary.extinction_threshold, samples=len(traj.t_itu),
             halt=_time_json(scn.params, scn.time_unit, traj.halt_itu))
         if extras:
             measured[engine]["stochastic"] = extras
-    analytic, notes = _predictions(scn)
+    analytic = _predictions(scn)
     predicted, errors = _compare_names(analytic), {}
-    for engine, named in values.items():
+    for engine, block in measured.items():
+        named = _compare_names(block)
         for name, reference in predicted.items():
             if reference and named[name] is not None:
                 errors.setdefault(engine, {})[name] = (
                     abs(named[name] - reference) / abs(reference))
-    block = _report_json(scn.time_unit, analytic)
-    block.update((f"{key}_note", note) for key, note in notes.items())
-    result = Evaluation(trajectories, measured, block, errors, predicted,
-                        _compare_names(notes), values)
-    report = build_report(scn, result)
-    try:
-        json.dumps(report, allow_nan=False)  # before any file is written
+    report = build_report(scn, measured, analytic, errors)
+    try:  # before any file is written
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"report.json: {exc}") from exc
-    return result, report
+    return trajectories, report, text
 
 
-def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
-    """The report.json mapping for an evaluated scenario."""
+def build_report(scn: ResolvedScenario, measured: dict, analytic: dict, errors: dict) -> dict:
+    """The report.json mapping of the engine blocks, analytic block and errors."""
     params = scn.params
-    worst = max((error for errors in result.errors.values() for error in errors.values()),
+    worst = max((error for named in errors.values() for error in named.values()),
                 default=None)
     report = {
         "scenario": scn.name,
@@ -536,9 +524,9 @@ def build_report(scn: ResolvedScenario, result: Evaluation) -> dict:
             "gamma": params.gamma,
             "p_bar": params.p_bar,
         },
-        "engines": result.measured,
-        "analytic": result.analytic,
-        "relative_errors": result.errors,
+        "engines": measured,
+        "analytic": analytic,
+        "relative_errors": errors,
         "tolerance": {
             "compare_tolerance": scn.compare_tolerance,
             "worst_relative_error": worst,
@@ -567,9 +555,8 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
         )
 
 
-def write_report_json(path: str, report: dict) -> None:
-    """Write report as JSON; a NaN or infinity, which JSON lacks, is a ValueError."""
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+def write_report_json(path: str, text: str) -> None:
+    """Write report.json: the text that ``evaluate`` serialised, and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -580,16 +567,19 @@ def _format_value(value) -> str:
     return f"{value:.6g}"
 
 
-def format_comparison_table(scn: ResolvedScenario, result: Evaluation) -> str:
-    engines = list(scn.engines)
-    header = ["quantity", "analytic"] + engines
+def format_comparison_table(report: dict) -> str:
+    """A report mapping's analytic-vs-measured table, relative errors in %."""
+    analytic, errors = report["analytic"], report["relative_errors"]
+    notes = _compare_names({k[:-5]: note for k, note in analytic.items() if k.endswith("_note")})
+    values = {engine: _compare_names(block) for engine, block in report["engines"].items()}
+    header = ["quantity", "analytic"] + list(values)
     table = [header]
-    for name, analytic in result.predicted.items():
-        line = [name, result.notes.get(name, "") if analytic is None else _format_value(analytic)]
-        for engine in engines:
-            cell = _format_value(result.values[engine][name])
-            if name in result.errors.get(engine, {}):
-                cell += f" ({100.0 * result.errors[engine][name]:.2f}%)"
+    for name, reference in _compare_names(analytic).items():
+        line = [name, notes.get(name, "") if reference is None else _format_value(reference)]
+        for engine, named in values.items():
+            cell = _format_value(named[name])
+            if name in errors.get(engine, {}):
+                cell += f" ({100.0 * errors[engine][name]:.2f}%)"
             line.append(cell)
         table.append(line)
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
@@ -600,35 +590,34 @@ def format_comparison_table(scn: ResolvedScenario, result: Evaluation) -> str:
     return "\n".join(lines)
 
 
-def _scenario_banner(scn: ResolvedScenario) -> str:
-    params = scn.params
+def _scenario_banner(report: dict) -> str:
+    params = report["params"]
     bits = [
-        f"defense={params.defense.value}",
-        f"N={params.n_hosts}",
-        f"I0={params.i0}",
-        f"virulence={params.virulence:g}/{scn.time_unit}",
+        f"defense={params['defense']}",
+        f"N={params['n_hosts']}",
+        f"I0={params['i0']}",
+        f"virulence={params['virulence_per_unit']:g}/{report['time_unit']}",
     ]
-    if params.defense is not DefenseKind.NO_PATCHING:
-        bits.append(f"gamma={params.gamma:g}")
-        bits.append(f"p_bar={params.p_bar}")
-    return f"scenario {scn.name}: " + ", ".join(bits)
+    if params["defense"] != DefenseKind.NO_PATCHING.value:
+        bits += [f"gamma={params['gamma']:g}", f"p_bar={params['p_bar']}"]
+    return f"scenario {report['scenario']}: " + ", ".join(bits)
 
 
 def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
-    result, report = evaluate(scn)
+    trajectories, report, text = evaluate(scn)
     csv_paths = {engine: os.path.join(out_dir, f"{scn.name}_{engine}.csv")
-                 for engine in result.trajectories}
+                 for engine in trajectories}
     report_path = os.path.join(out_dir, "report.json")
     try:
         os.makedirs(out_dir, exist_ok=True)
         for engine, csv_path in csv_paths.items():
-            write_trajectory_csv(csv_path, result.trajectories[engine])
-        write_report_json(report_path, report)
+            write_trajectory_csv(csv_path, trajectories[engine])
+        write_report_json(report_path, text)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_dir}: {exc.strerror}")
-    print(_scenario_banner(scn))
+    print(_scenario_banner(report))
     for engine, csv_path in csv_paths.items():
-        print(f"wrote {csv_path} ({len(result.trajectories[engine].t_itu)} samples)")
+        print(f"wrote {csv_path} ({len(trajectories[engine].t_itu)} samples)")
     print(f"wrote {report_path}")
     worst = report["tolerance"]["worst_relative_error"]
     if worst is not None:
@@ -637,19 +626,19 @@ def cmd_run(scn: ResolvedScenario, out_dir: str) -> int:
 
 
 def cmd_compare(scn: ResolvedScenario) -> int:
-    result, report = evaluate(scn)
-    print(_scenario_banner(scn))
-    if not result.predicted:
+    _trajectories, report, _text = evaluate(scn)
+    print(_scenario_banner(report))
+    if not _compare_names(report["analytic"]):
         print("no analytic comparisons defined for this scenario")
         return 0
-    print(format_comparison_table(scn, result))
+    print(format_comparison_table(report))
     tolerance = report["tolerance"]
     if tolerance["worst_relative_error"] is None:
         print("no relative errors to check against the tolerance")
         return 0
     verdict = "OK" if tolerance["within_tolerance"] else "FAIL"
     print(f"worst relative error {tolerance['worst_relative_error']:.4g} vs tolerance "
-          f"{scn.compare_tolerance:g}: {verdict}")
+          f"{tolerance['compare_tolerance']:g}: {verdict}")
     return 0 if tolerance["within_tolerance"] else 1
 
 

@@ -100,6 +100,8 @@ def validate_config(config: StochasticConfig) -> StochasticConfig:
         raise ValueError("runs must be an integer >= 1")
     if not _is_count(seed) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
+    if seed + runs > 2**128:  # Philox keys seed + k must stay below 2**128
+        raise ValueError("seed + runs must be at most 2**128")
     return config
 
 

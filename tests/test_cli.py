@@ -301,6 +301,33 @@ def test_non_finite_report_value_prints_one_line(tmp_path):
         assert (proc.returncode, proc.stderr.count("\n")) == (code, lines), proc.stderr
 
 
+_TOO_BIG = "1" + "0" * 400  # an integer too large for a float, as YAML reads it
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--config", "codered-nopatch", "--set", f"params.p_bar={_TOO_BIG}"],
+     "params.p_bar must be an integer"),
+    (["--config", "monitoring-slammer", "--set", f"params.n_hosts={_TOO_BIG}"],
+     "params.n_hosts must be an integer"),
+    (["--config", "codered-p2p-g2", "--engines", "closed_form",
+      "--set", f"params.n_hosts={_TOO_BIG}"], "params.n_hosts must be an integer"),
+    (["--config", "codered-nopatch-desk", "--engines", "stochastic",
+      "--set", f"stochastic.seed={_TOO_BIG}"], "stochastic.seed must be an integer"),
+    (["--config", "codered-nopatch-desk", "--engines", "stochastic",
+      "--set", f"stochastic.seed={2**128 - 1}", "--set", "stochastic.runs=2"],
+     "stochastic: seed + runs must be at most 2**128"),
+])
+def test_integer_out_of_range_is_one_line_config_error(argv, message, capsys):
+    assert main(["compare"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+
+def test_last_philox_key_runs(capsys):
+    assert main(["compare", "--config", "codered-nopatch-desk", "--engines", "stochastic",
+                 "--set", f"stochastic.seed={2**128 - 1}", "--set", "stochastic.runs=1"]) == 0
+
+
 # (case id, config, --set assignments, compare's exit code, the quantity whose
 # analytic value is 0): such a quantity gets no relative error, as one with
 # no predictor does, and its value and measurements are still reported.
@@ -782,6 +809,23 @@ CONFIG_ERRORS = [
      "cannot read {path}: Is a directory"),
     ("kappa-list-out-of-range", _resolve_with(_set(None, kappa=[1.5])),
      "kappa[0] must be a number in (0, 1) (got 1.5)"),
+    # integers too large for a float where an integer is read
+    ("p_bar-overflow", _resolve_with(_set("params", p_bar=10**400)),
+     "params.p_bar must be an integer (got 100000000000000000...0000000000000000000)"),
+    ("n_hosts-overflow", _resolve_with(_set("params", n_hosts=10**400)),
+     "params.n_hosts must be an integer (got 100000000000000000...0000000000000000000)"),
+    ("sample_stride-overflow", _resolve_with(_set("integrator", sample_stride=10**400)),
+     "integrator.sample_stride must be an integer (got "
+     "100000000000000000...0000000000000000000)"),
+    ("seed-overflow", _resolve_with(_set("stochastic", seed=10**400)),
+     "stochastic.seed must be an integer (got 100000000000000000...0000000000000000000)"),
+    ("runs-overflow", _resolve_with(_set("stochastic", runs=10**400)),
+     "stochastic.runs must be an integer (got 100000000000000000...0000000000000000000)"),
+    ("monitors-count-overflow", _resolve_with(_set("monitors", count=10**400)),
+     "monitors.count must be an integer (got 100000000000000000...0000000000000000000)"),
+    # run k is keyed seed + k, and a Philox key must stay below 2**128
+    ("seed-past-philox-keys", _resolve_with(_set("stochastic", seed=2**128 - 1, runs=2)),
+     "stochastic: seed + runs must be at most 2**128"),
 ]
 
 

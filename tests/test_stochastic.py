@@ -37,11 +37,18 @@ from wormsim.stochastic import (
         (dict(t_end_itu=5.0, seed=1, sample_dt_itu=None), "sample_dt_itu"),
         (dict(t_end_itu=5.0, seed=1, runs=2.0), "runs"),
         (dict(t_end_itu=5.0, seed="1"), "seed"),
+        (dict(t_end_itu=5.0, seed=2**128 - 1, runs=2), "seed"),
     ],
 )
 def test_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
         validate_config(StochasticConfig(**kwargs))
+
+
+def test_config_accepts_keys_up_to_philox_bound():
+    # Runs are keyed seed .. seed + runs - 1; the last key below 2**128 is valid.
+    config = StochasticConfig(t_end_itu=5.0, seed=2**128 - 3, runs=3)
+    assert validate_config(config) is config
 
 
 @pytest.mark.parametrize(
