@@ -57,7 +57,7 @@ def main():
         print(f"{t:8.1f} {one.i[k]:7.0f} {result.mean.i[k]:8.1f} "
               f"{result.i_std[k]:7.1f}")
     print(
-        f"\nAll {result.runs_used} runs ride the same sigmoid, just on"
+        f"\nAll {config.runs} runs ride the same sigmoid, just on"
         " jittered clocks: the big spread at t=6..8 is takeoff timing,"
         " not shape."
     )

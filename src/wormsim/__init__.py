@@ -37,7 +37,6 @@ from .fluid import (
 )
 from .integrate import IntegratorConfig, integrate
 from .metrics import (
-    SummaryMetrics,
     default_extinction_threshold,
     fixed_extinction_time,
     fixed_peak_time,
@@ -79,7 +78,6 @@ __all__ = [
     "ScenarioError",
     "ScenarioParams",
     "StochasticConfig",
-    "SummaryMetrics",
     "TimeValue",
     "Trajectory",
     "TrajectorySource",

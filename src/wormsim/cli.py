@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import functools
 import json
 import math
@@ -340,6 +339,19 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
     stochastic = StochasticConfig(**raw)
     _checked("stochastic", validate_stochastic_config, stochastic)
 
+    # Floats held, to within a few: t, S, I, P per RK4 sample or closed-form point,
+    # S, I, P per stochastic grid point and run.  Over 2**28 (2 GiB) is refused: a
+    # machine that overcommits memory would grant it, then run for hours.
+    form_dt, form_end = _closed_form_span(params, integrator)
+    floats = dict(
+        integrate=4 * (integrator.t_end_itu / integrator.dt_itu / integrator.sample_stride + 3),
+        closed_form=4 * (form_end / form_dt + 2),
+        stochastic=3 * stochastic.runs * (stochastic.t_end_itu / stochastic.sample_dt_itu + 1))
+    for engine in engines:
+        if floats[engine] > 2**28:
+            raise ConfigError(f"engine {engine} would hold {floats[engine]:.3g} floats, "
+                              "more than the ceiling of 2**28")
+
     if top["kappa"] and not undefended:
         raise ConfigError("kappa spread levels apply only to defense no_patching")
     threshold = top["extinction_threshold"]
@@ -366,11 +378,16 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
     return ResolvedScenario(time_unit=time_unit, config=copy.deepcopy(config), **top)
 
 
+def _closed_form_span(params: ScenarioParams, integrator: IntegratorConfig) -> tuple:
+    """(spacing, end) of the closed-form grid; fixed servers end at the validity window."""
+    t_hi = integrator.t_end_itu
+    if params.defense is DefenseKind.FIXED_SERVERS:
+        t_hi = min(t_hi, fixed_validity_window(params))
+    return integrator.dt_itu * integrator.sample_stride, t_hi
+
+
 def _closed_form_grid(scn: ResolvedScenario) -> np.ndarray:
-    dt = scn.integrator.dt_itu * scn.integrator.sample_stride
-    t_hi = scn.integrator.t_end_itu
-    if scn.params.defense is DefenseKind.FIXED_SERVERS:
-        t_hi = min(t_hi, fixed_validity_window(scn.params))
+    dt, t_hi = _closed_form_span(scn.params, scn.integrator)
     n_pts = int(math.floor(t_hi / dt + 1e-9))
     grid = np.arange(n_pts + 1) * dt
     if grid[-1] > t_hi:  # the slack above may step past a validity window
@@ -400,7 +417,7 @@ def run_engine(scn: ResolvedScenario, engine: str):
             traj = result.mean
             extras = {
                 "seed": scn.stochastic.seed,
-                "runs": result.runs_used,
+                "runs": scn.stochastic.runs,
                 "extinct_before_end": result.extinct_before_end,
             }
     except (RuntimeError, FloatingPointError, OverflowError) as exc:
@@ -478,16 +495,10 @@ def evaluate(scn: ResolvedScenario) -> tuple:
     trajectories, measured = {}, {}
     for engine in scn.engines:
         traj, extras = run_engine(scn, engine)
-        summary = summarize(traj, scn.extinction_threshold, scn.kappa)
         trajectories[engine] = traj
-        quantities = {"peak_time": summary.peak_time, "peak_infected": summary.peak_infected,
-                      "extinction_time": summary.extinction_time}
-        if scn.kappa:
-            quantities["spread_time"] = {
-                f"{kappa:g}": tv for kappa, tv in summary.spread_times.items()}
         measured[engine] = dict(
-            _report_json(scn.time_unit, quantities),
-            extinction_threshold=summary.extinction_threshold, samples=len(traj.t_itu),
+            _report_json(scn.time_unit, summarize(traj, scn.extinction_threshold, scn.kappa)),
+            extinction_threshold=scn.extinction_threshold, samples=len(traj.t_itu),
             halt=_time_json(scn.params, scn.time_unit, traj.halt_itu))
         if extras:
             measured[engine]["stochastic"] = extras
@@ -544,15 +555,15 @@ def build_report(scn: ResolvedScenario, measured: dict, analytic: dict, errors: 
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    """CSV columns t_itu,t_wallclock,S,I,P; repr floats round-trip exactly."""
-    wallclock = traj.t_wallclock()
+    """CSV columns t_itu,t_wallclock,S,I,P; repr floats round-trip exactly.
+
+    The bytes are those of ``csv.writer``: no float repr needs quoting.
+    """
+    columns = (traj.t_itu, traj.t_wallclock(), traj.s, traj.i, traj.p)
+    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_itu", "t_wallclock", "S", "I", "P"])
-        columns = (traj.t_itu, wallclock, traj.s, traj.i, traj.p)
-        writer.writerows(
-            zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
-        )
+        fh.write("t_itu,t_wallclock,S,I,P\r\n")
+        fh.writelines(f"{t!r},{w!r},{s!r},{i!r},{p!r}\r\n" for t, w, s, i, p in rows)
 
 
 def write_report_json(path: str, text: str) -> None:

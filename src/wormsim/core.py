@@ -12,9 +12,9 @@ host counts summing to the population size N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class ScenarioParams:
     gamma: float = 1.0
     p_bar: int = 0
 
-    def with_overrides(self, **kwargs) -> "ScenarioParams":
-        return replace(self, **kwargs)
-
 
 def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -110,10 +107,6 @@ class PopulationState:
     s: float
     i: float
     p: float
-
-    @property
-    def total(self) -> float:
-        return self.s + self.i + self.p
 
 
 def initial_state(params: ScenarioParams) -> PopulationState:
@@ -163,10 +156,6 @@ class Trajectory:
 
     def state_at(self, k: int) -> PopulationState:
         return PopulationState(s=float(self.s[k]), i=float(self.i[k]), p=float(self.p[k]))
-
-    def states(self) -> Iterator[tuple]:
-        for k in range(len(self.t_itu)):
-            yield float(self.t_itu[k]), self.state_at(k)
 
     def t_wallclock(self) -> np.ndarray:
         return self.t_itu / self.params.virulence

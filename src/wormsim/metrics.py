@@ -11,28 +11,12 @@ compared on equal footing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory, validate
 from .fluid import fixed_validity_window
-
-
-@dataclass(frozen=True)
-class SummaryMetrics:
-    """Headline numbers extracted from one trajectory.
-
-    ``spread_times`` maps each requested kappa to the time I first
-    reaches kappa * N, or None if it never does.
-    """
-
-    peak_time: TimeValue
-    peak_infected: float
-    extinction_threshold: float
-    extinction_time: Optional[TimeValue]
-    spread_times: dict[float, Optional[TimeValue]] = field(default_factory=dict)
 
 
 def _require_defense(params: ScenarioParams, kind: DefenseKind, what: str) -> None:
@@ -225,25 +209,28 @@ def summarize(
     traj: Trajectory,
     threshold: Optional[float] = None,
     kappas: Sequence[float] = (),
-) -> SummaryMetrics:
-    """Extract the standard summary block from a trajectory."""
-    if threshold is None:
-        threshold = default_extinction_threshold(traj.params)
+) -> dict:
+    """The headline numbers of a trajectory, keyed as report.json keys them.
+
+    Returns {"peak_time", "peak_infected", "extinction_time"}, the last
+    None if the trajectory ends at or above ``threshold`` (by default
+    ``default_extinction_threshold``).  When kappas are given it adds
+    "spread_time": {f"{kappa:g}": the time I first reaches kappa * N, or
+    None if it never does}.
+    """
     peak_time, peak_infected = trajectory_peak(traj)
     try:
         extinction: Optional[TimeValue] = trajectory_extinction(traj, threshold)
     except ValueError:
         extinction = None
+    summary = {"peak_time": peak_time, "peak_infected": peak_infected,
+               "extinction_time": extinction}
     spread = {}
     for kappa in kappas:
         try:
-            spread[kappa] = trajectory_spread_time(traj, kappa)
+            spread[f"{kappa:g}"] = trajectory_spread_time(traj, kappa)
         except ValueError:
-            spread[kappa] = None
-    return SummaryMetrics(
-        peak_time=peak_time,
-        peak_infected=peak_infected,
-        extinction_threshold=threshold,
-        extinction_time=extinction,
-        spread_times=spread,
-    )
+            spread[f"{kappa:g}"] = None
+    if spread:
+        summary["spread_time"] = spread
+    return summary

@@ -27,10 +27,9 @@ from .core import DefenseKind, ScenarioParams, _is_count, _is_positive, validate
 
 @dataclass(frozen=True)
 class MonitorPlan:
-    """A telescope size together with the deadline it was sized for."""
+    """A telescope size and the scans it expects by its deadline."""
 
     monitors: int
-    deadline_itu: float
     expected_scans_at_deadline: float
 
 
@@ -40,7 +39,8 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
     M_bar(t) = monitors * ln(1 + (I0/N) * (e^t - 1)).  The logarithm is
     evaluated in log-sum form, so it stays finite for large t; the product
     with ``monitors`` can still pass the float range, and is then inf, with
-    no warning.  Accepts scalar or array t.
+    no warning.  Near t = 0 the log-sum can round below 0; it is then taken
+    as 0, so the result is never negative.  Accepts scalar or array t.
     Raises ValueError unless ``monitors`` is an integer >= 1.
     """
     validate(params)
@@ -50,7 +50,7 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
     if np.any(t < 0.0):
         raise ValueError("t must be >= 0")
     frac = params.i0 / params.n_hosts
-    log_a = np.logaddexp(math.log1p(-frac), math.log(frac) + t)
+    log_a = np.maximum(np.logaddexp(math.log1p(-frac), math.log(frac) + t), 0.0)
     with np.errstate(over="ignore"):
         out = monitors * log_a
     return float(out) if out.ndim == 0 else out
@@ -60,23 +60,21 @@ def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> Monit
     """Smallest telescope whose expected hit count reaches 1 by the deadline.
 
     Raises ValueError if even monitoring every host cannot get there
-    (deadline too early for the worm to have scanned enough).
+    (deadline too early for the worm to have scanned enough, or so early
+    that the expected scans round to 0, which no telescope size reaches).
     """
     validate(params)
     if not _is_positive(deadline_itu):
         raise ValueError("deadline_itu must be positive")
     per_monitor = expected_scans(deadline_itu, params, 1)
-    monitors = math.ceil(1.0 / per_monitor)
+    needed = 1.0 / per_monitor if per_monitor > 0.0 else math.inf
+    monitors = math.ceil(needed) if needed < math.inf else needed
     if monitors > params.n_hosts:
         raise ValueError(
             f"deadline {deadline_itu:g} ITU needs {monitors} monitors, "
             f"more than the population of {params.n_hosts}"
         )
-    return MonitorPlan(
-        monitors=monitors,
-        deadline_itu=deadline_itu,
-        expected_scans_at_deadline=monitors * per_monitor,
-    )
+    return MonitorPlan(monitors=monitors, expected_scans_at_deadline=monitors * per_monitor)
 
 
 def thumb_rule_monitors(n_hosts: int, regime: DefenseKind) -> int:

@@ -81,7 +81,6 @@ class EnsembleResult:
     s_std: np.ndarray
     i_std: np.ndarray
     p_std: np.ndarray
-    runs_used: int
     extinct_before_end: int
 
 
@@ -297,7 +296,6 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
     return EnsembleResult(
         mean=mean_traj,
         s_std=std[0], i_std=std[1], p_std=std[2],
-        runs_used=config.runs,
         extinct_before_end=int(np.count_nonzero(runs[:, 1, -1] == 0.0)),
     )
 

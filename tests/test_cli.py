@@ -473,6 +473,29 @@ def test_monitor_faults_are_config_errors(overrides, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--config", "codered-p2p-g2", "--engines", "integrate",
+     "--set", "integrator.t_end_itu=1e12"],
+    ["--config", "codered-nopatch-desk", "--engines", "stochastic",
+     "--set", "stochastic.sample_dt_itu=1e-12"],
+    ["--config", "codered-p2p-g2-desk", "--engines", "stochastic",
+     "--set", "stochastic.runs=1000000000"],
+    ["--config", "codered-fixed", "--engines", "closed_form",
+     "--set", "integrator.sample_stride=1", "--set", "integrator.dt_itu=1e-13"],
+    ["--config", "monitoring-slammer", "--set", "monitors.deadline_itu=1e-17"],
+], ids=["integrate-samples", "stochastic-grid", "stochastic-runs", "closed-form-grid",
+        "deadline-scans-round-to-zero"])
+def test_oversized_or_hopeless_requests_exit_2(argv, monkeypatch, tmp_path, capsys):
+    # Refused before any engine runs, so nothing is allocated or written.
+    monkeypatch.setattr(cli, "run_engine", lambda *_args: pytest.fail("an engine ran"))
+    out = tmp_path / "X"
+    for verb in (["run", "--out", str(out)], ["compare"]):
+        assert main(verb + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     out = tmp_path / "seeded"
     code = main(
@@ -587,6 +610,23 @@ def test_single_stochastic_run_writes_simulate(name, tmp_path):
     expected = (traj.t_itu, traj.t_wallclock(), traj.s, traj.i, traj.p)
     for column, values in zip(columns, expected):
         assert np.array_equal(column, values)
+
+
+def test_trajectory_csv_matches_csv_writer(tmp_path):
+    # The same bytes as the stdlib writer, for a signed zero, the reprs that
+    # switch to exponent form, the smallest subnormal and the largest float.
+    values = np.array([-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308])
+    params = resolve_scenario(_nopatch_config()).params
+    traj = Trajectory(t_itu=values, s=values[::-1].copy(), i=np.roll(values, 1),
+                      p=np.roll(values, 2), params=params,
+                      source=TrajectorySource.CLOSED_FORM)
+    cli.write_trajectory_csv(str(tmp_path / "fast.csv"), traj)
+    with open(tmp_path / "stdlib.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_itu", "t_wallclock", "S", "I", "P"])
+        writer.writerows(zip(values.tolist(), traj.t_wallclock().tolist(), traj.s.tolist(),
+                             traj.i.tolist(), traj.p.tolist()))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "stdlib.csv").read_bytes()
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
@@ -826,6 +866,20 @@ CONFIG_ERRORS = [
     # run k is keyed seed + k, and a Philox key must stay below 2**128
     ("seed-past-philox-keys", _resolve_with(_set("stochastic", seed=2**128 - 1, runs=2)),
      "stochastic: seed + runs must be at most 2**128"),
+    # at 1e-17 ITU the expected scans of one monitor round to 0
+    ("monitors-deadline-scans-round-to-zero",
+     _resolve_with(_set("params", n_hosts=85000, i0=1), _set("monitors", deadline_itu=1e-17)),
+     "monitors: deadline 1e-17 ITU needs inf monitors, more than the population of 85000"),
+    # buffers above 2**28 floats are refused before any engine allocates them
+    ("integrate-too-many-floats",
+     _resolve_with(_set(None, engines=["integrate"]), _set("integrator", t_end_itu=1e12)),
+     "engine integrate would hold 4e+14 floats, more than the ceiling of 2**28"),
+    ("closed-form-too-many-floats",
+     _resolve_with(_set("integrator", dt_itu=1e-13, sample_stride=1)),
+     "engine closed_form would hold 4.8e+14 floats, more than the ceiling of 2**28"),
+    ("stochastic-too-many-floats",
+     _resolve_with(_set(None, engines=["stochastic"]), _set("stochastic", runs=10**9)),
+     "engine stochastic would hold 7.23e+11 floats, more than the ceiling of 2**28"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Fixed-step RK4 integrator: accuracy, sampling, halting, conservation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -182,7 +184,7 @@ def test_kernel_step_equals_rhs_step(request, fixture):
 
 
 def test_diverging_state_raises_at_first_bad_step(codered_p2p_g2):
-    params = codered_p2p_g2.with_overrides(gamma=1e300)
+    params = dataclasses.replace(codered_p2p_g2, gamma=1e300)
     with pytest.raises(RuntimeError, match="at step 1$"):
         integrate(params, IntegratorConfig(t_end_itu=1.0))
 

@@ -1,5 +1,7 @@
 """Analytic response-time predictors and trajectory summary extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ def test_p2p_peak_infected_gamma2(codered_p2p_g2):
 @pytest.mark.parametrize("gamma", [1.0, 0.8, 0.5])
 def test_p2p_peak_infected_needs_supercritical_gamma(codered_p2p_g1, gamma):
     with pytest.raises(ValueError, match="gamma_le_one"):
-        p2p_peak_infected(codered_p2p_g1.with_overrides(gamma=gamma))
+        p2p_peak_infected(dataclasses.replace(codered_p2p_g1, gamma=gamma))
 
 
 def test_p2p_extinction_time(codered_p2p_g1, codered_p2p_g2):
@@ -124,7 +126,7 @@ def test_predictors_validate_params(predictor, defense, overrides):
     )
     predictor(params)
     with pytest.raises(ScenarioError):
-        predictor(params.with_overrides(**overrides))
+        predictor(dataclasses.replace(params, **overrides))
 
 
 def test_fixed_extinction_time_needs_more_hosts_than_twice_the_servers():
@@ -134,7 +136,7 @@ def test_fixed_extinction_time_needs_more_hosts_than_twice_the_servers():
     )
     with pytest.raises(ValueError, match="n_hosts > 2 \\* p_bar"):
         fixed_extinction_time(params)
-    assert fixed_extinction_time(params.with_overrides(n_hosts=121)).itu > 0.0
+    assert fixed_extinction_time(dataclasses.replace(params, n_hosts=121)).itu > 0.0
 
 
 def test_default_extinction_threshold(codered_nopatch, codered_fixed, codered_p2p_g1):
@@ -216,19 +218,21 @@ def test_trajectory_spread_time(codered_nopatch):
 def test_summarize_fixed_servers(codered_fixed):
     traj = integrate(codered_fixed, IntegratorConfig(t_end_itu=50.0))
     summary = summarize(traj)
-    assert summary.extinction_threshold == 25.0
-    assert summary.peak_infected == pytest.approx(231304, rel=1e-4)
-    assert summary.peak_time.itu == pytest.approx(15.014, abs=5e-3)
-    assert summary.extinction_time.itu == pytest.approx(46.147, abs=5e-2)
-    assert summary.spread_times == {}
+    assert set(summary) == {"peak_time", "peak_infected", "extinction_time"}
+    assert summary["peak_infected"] == pytest.approx(231304, rel=1e-4)
+    assert summary["peak_time"].itu == pytest.approx(15.014, abs=5e-3)
+    # the default threshold is p_bar = 25 hosts
+    assert summary["extinction_time"] == trajectory_extinction(traj, 25.0)
+    assert summary["extinction_time"].itu == pytest.approx(46.147, abs=5e-2)
 
 
 def test_summarize_never_extinct_is_none(codered_nopatch):
     traj = integrate(codered_nopatch, IntegratorConfig(t_end_itu=16.0))
     summary = summarize(traj, kappas=(0.5, 0.999))
-    assert summary.extinction_time is None
-    assert summary.spread_times[0.5].itu == pytest.approx(9.5749, abs=1e-3)
-    assert summary.spread_times[0.999] is None
+    assert summary["extinction_time"] is None
+    assert list(summary["spread_time"]) == ["0.5", "0.999"]
+    assert summary["spread_time"]["0.5"].itu == pytest.approx(9.5749, abs=1e-3)
+    assert summary["spread_time"]["0.999"] is None
 
 
 # --- fixed-servers operating-regime sweep -------------------------------

@@ -1,5 +1,6 @@
 """Network-telescope sizing: expected scans, sizing, and thumb rules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -40,10 +41,18 @@ def test_expected_scans_vectorized(slammer):
 def test_monitors_for_detection_slammer_deadline(slammer):
     plan = monitors_for_detection(slammer, 2.42)
     assert plan.monitors == 8297
-    assert plan.deadline_itu == 2.42
     assert plan.expected_scans_at_deadline >= 1.0
     # minimality: one monitor fewer no longer reaches an expected scan
     assert expected_scans(2.42, slammer, plan.monitors - 1) < 1.0
+
+
+def test_sizing_at_a_deadline_whose_scans_round_to_zero(slammer):
+    # The log-sum form rounds M_bar(1e-17), about 1.2e-22 exactly, to
+    # -5.08e-21; it is returned as 0, which no telescope size turns into a scan.
+    assert expected_scans(1e-17, slammer, 1) == 0.0
+    assert expected_scans(np.array([0.0, 1e-17]), slammer, 7489).tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="needs inf monitors, more than the population"):
+        monitors_for_detection(slammer, 1e-17)
 
 
 def test_monitors_for_detection_rejects_hopeless_deadline(slammer):
@@ -101,7 +110,7 @@ def test_expected_scans_accepts_numpy_count(slammer):
 @pytest.mark.parametrize("overrides", [dict(i0=0), dict(virulence=-1.5), dict(n_hosts=True)])
 def test_sizing_validates_params(slammer, call, overrides):
     with pytest.raises(ScenarioError):
-        call(slammer.with_overrides(**overrides))
+        call(dataclasses.replace(slammer, **overrides))
 
 
 @pytest.mark.parametrize("n_hosts", [10.5, 85000.0, True, "85000"])

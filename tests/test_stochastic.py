@@ -147,7 +147,6 @@ def test_ensemble_mean_is_run_average():
     )
     assert np.array_equal(res.mean.i, stack.sum(axis=0) / 3.0)
     assert np.allclose(res.i_std, stack.std(axis=0), atol=1e-10)
-    assert res.runs_used == 3
     assert res.extinct_before_end == 3
     assert res.mean.source is TrajectorySource.ENSEMBLE_MEAN
 
@@ -186,7 +185,6 @@ def _same_ensemble(a, b):
               (a.i_std, b.i_std), (a.p_std, b.p_std)]
     arrays += [(getattr(a.mean, c), getattr(b.mean, c)) for c in "sip"]
     return (all(np.array_equal(x, y) for x, y in arrays)
-            and a.runs_used == b.runs_used
             and a.extinct_before_end == b.extinct_before_end)
 
 
