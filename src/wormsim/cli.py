@@ -41,12 +41,10 @@ from .core import (
     ScenarioParams,
     TimeValue,
     Trajectory,
-    validate,
     validate_trajectory,
 )
 from .fluid import closed_form_trajectory, fixed_validity_window
 from .integrate import IntegratorConfig, integrate
-from .integrate import validate_config as validate_integrator_config
 from .metrics import (
     default_extinction_threshold,
     fixed_extinction_time,
@@ -60,7 +58,6 @@ from .metrics import (
 from .monitoring import expected_scans, monitors_for_detection, thumb_rule_monitors
 from .scenarios import BUILTIN_SCENARIOS, builtin_names, builtin_scenario
 from .stochastic import StochasticConfig, ensemble, simulate
-from .stochastic import validate_config as validate_stochastic_config
 
 ENGINE_NAMES = ("closed_form", "integrate", "stochastic")
 
@@ -209,10 +206,10 @@ def _read_block(block, table: dict, name: str = "") -> dict:
             for key, (kind, default) in table.items()}
 
 
-def _checked(block: str, check, *args):
-    """check(*args), with its ValueError reported as a fault of the block."""
+def _checked(block: str, check, *args, **kwargs):
+    """check(*args, **kwargs), with its ValueError reported as a fault of the block."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{block}: {exc}")
 
@@ -324,29 +321,29 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
     raw = _read_block(top["params"], _PARAMS, "params")
     virulence, time_unit = parse_virulence(raw.pop("virulence"))
     raw["defense"] = DefenseKind(raw["defense"])
-    params = _checked("params", validate, ScenarioParams(virulence=virulence, **raw))
+    params = _checked("params", ScenarioParams, virulence=virulence, **raw)
     if params.defense is DefenseKind.FIXED_SERVERS and params.n_hosts <= 2 * params.p_bar:
         raise ConfigError("params: fixed servers need n_hosts > 2 * p_bar")
     undefended = params.defense is DefenseKind.NO_PATCHING
 
     raw = _read_block(top["integrator"], _INTEGRATOR, "integrator")
-    integrator = IntegratorConfig(**raw)
-    _checked("integrator", validate_integrator_config, integrator)
+    integrator = _checked("integrator", IntegratorConfig, **raw)
 
     raw = _read_block(top["stochastic"], _STOCHASTIC, "stochastic")
     if raw["t_end_itu"] is None:
         raw["t_end_itu"] = integrator.t_end_itu
-    stochastic = StochasticConfig(**raw)
-    _checked("stochastic", validate_stochastic_config, stochastic)
+    stochastic = _checked("stochastic", StochasticConfig, **raw)
 
     # Floats held, to within a few: t, S, I, P per RK4 sample or closed-form point,
-    # S, I, P per stochastic grid point and run.  Over 2**28 (2 GiB) is refused: a
+    # S, I, P per stochastic grid point and run, and for an undefended run its
+    # N - i0 holding times, rates and jump times.  Over 2**28 (2 GiB) is refused: a
     # machine that overcommits memory would grant it, then run for hours.
     form_dt, form_end = _closed_form_span(params, integrator)
     floats = dict(
         integrate=4 * (integrator.t_end_itu / integrator.dt_itu / integrator.sample_stride + 3),
         closed_form=4 * (form_end / form_dt + 2),
-        stochastic=3 * stochastic.runs * (stochastic.t_end_itu / stochastic.sample_dt_itu + 1))
+        stochastic=3 * stochastic.runs * (stochastic.t_end_itu / stochastic.sample_dt_itu + 1)
+        + (3 * (params.n_hosts - params.i0) if undefended else 0))
     for engine in engines:
         if floats[engine] > 2**28:
             raise ConfigError(f"engine {engine} would hold {floats[engine]:.3g} floats, "
@@ -559,11 +556,15 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
 
     The bytes are those of ``csv.writer``: no float repr needs quoting.
     """
-    columns = (traj.t_itu, traj.t_wallclock(), traj.s, traj.i, traj.p)
-    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t_itu,t_wallclock,S,I,P\r\n")
-        fh.writelines(f"{t!r},{w!r},{s!r},{i!r},{p!r}\r\n" for t, w, s, i, p in rows)
+        for start in range(0, len(traj), 65536):  # Python floats for one block of rows
+            block = slice(start, start + 65536)
+            t_itu = traj.t_itu[block]
+            columns = (t_itu, t_itu / traj.params.virulence,
+                       traj.s[block], traj.i[block], traj.p[block])
+            fh.writelines(f"{t!r},{w!r},{s!r},{i!r},{p!r}\r\n" for t, w, s, i, p in
+                          zip(*(np.asarray(column, dtype=float).tolist() for column in columns)))
 
 
 def write_report_json(path: str, text: str) -> None:

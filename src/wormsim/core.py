@@ -58,6 +58,8 @@ class ScenarioParams:
             (dimensionless in ITU).
         p_bar: initially patched hosts; for FIXED_SERVERS also the
             number of patch servers, which caps the patching workforce.
+
+    Building one (``dataclasses.replace`` too) runs ``validate``.
     """
 
     n_hosts: int
@@ -66,6 +68,9 @@ class ScenarioParams:
     defense: DefenseKind
     gamma: float = 1.0
     p_bar: int = 0
+
+    def __post_init__(self):
+        validate(self)
 
 
 def _is_count(value) -> bool:

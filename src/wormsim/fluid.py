@@ -32,7 +32,6 @@ from .core import (
     ScenarioParams,
     Trajectory,
     TrajectorySource,
-    validate,
 )
 
 
@@ -176,9 +175,7 @@ def closed_form_trajectory(params: ScenarioParams, t_grid) -> Trajectory:
     S is reconstructed as N - I - P; float residue that would push S
     below zero is folded into P so hosts are conserved exactly.
     For FIXED_SERVERS the grid must lie inside the validity window.
-    Raises ScenarioError for params that break a model invariant.
     """
-    validate(params)
     t = np.asarray(t_grid, dtype=float)
     n = float(params.n_hosts)
     if params.defense is DefenseKind.NO_PATCHING:

@@ -31,7 +31,6 @@ from .core import (
     _is_count,
     _is_positive,
     initial_state,
-    validate,
 )
 
 MAX_DT_ITU = 0.01
@@ -49,24 +48,21 @@ _FLUSH_HOSTS = 1e-30
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration settings (all times in ITU)."""
+    """Fixed-step integration settings (ITU); a bad setting raises ValueError."""
 
     t_end_itu: float
     dt_itu: float = 0.001
     sample_stride: int = 10
 
-
-def validate_config(config: IntegratorConfig) -> IntegratorConfig:
-    if not _is_positive(config.t_end_itu):
-        raise ValueError("t_end_itu must be positive")
-    if not _is_positive(config.dt_itu):
-        raise ValueError("dt_itu must be positive")
-    if config.dt_itu > MAX_DT_ITU:
-        raise ValueError(f"dt_itu must be <= {MAX_DT_ITU} ITU")
-    stride = config.sample_stride
-    if not _is_count(stride) or stride < 1:
-        raise ValueError("sample_stride must be an integer >= 1")
-    return config
+    def __post_init__(self):
+        if not _is_positive(self.t_end_itu):
+            raise ValueError("t_end_itu must be positive")
+        if not _is_positive(self.dt_itu):
+            raise ValueError("dt_itu must be positive")
+        if self.dt_itu > MAX_DT_ITU:
+            raise ValueError(f"dt_itu must be <= {MAX_DT_ITU} ITU")
+        if not _is_count(self.sample_stride) or self.sample_stride < 1:
+            raise ValueError("sample_stride must be an integer >= 1")
 
 
 def _rk4_kernel(fixed, g_n, n, gamma, p_bar, s, i, p, dt, n_steps, stride,
@@ -178,11 +174,8 @@ def integrate(params: ScenarioParams, config: IntegratorConfig) -> Trajectory:
     The horizon is rounded up to a whole number of steps.  Raises
     RuntimeError naming the first bad step if the state stops being
     finite (cannot happen for in-contract scenarios, but the guard
-    keeps misuse loud rather than silent).  Raises ScenarioError for
-    params that break a model invariant.
+    keeps misuse loud rather than silent).
     """
-    validate(params)
-    validate_config(config)
     state = initial_state(params)
     n_steps = max(1, int(math.ceil(config.t_end_itu / config.dt_itu - 1e-9)))
     out = np.empty((4, n_steps // config.sample_stride + 3))  # rows t, S, I, P

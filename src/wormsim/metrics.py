@@ -15,13 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory, validate
+from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory
 from .fluid import fixed_validity_window
 
 
 def _require_defense(params: ScenarioParams, kind: DefenseKind, what: str) -> None:
-    """Validate ``params`` and require the defense a predictor is for."""
-    validate(params)
+    """Require the defense a predictor is for."""
     if params.defense is not kind:
         raise ValueError(f"{what} applies to {kind.value} scenarios only")
 

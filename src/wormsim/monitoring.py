@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DefenseKind, ScenarioParams, _is_count, _is_positive, validate
+from .core import DefenseKind, ScenarioParams, _is_count, _is_positive
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
     as 0, so the result is never negative.  Accepts scalar or array t.
     Raises ValueError unless ``monitors`` is an integer >= 1.
     """
-    validate(params)
     if not _is_count(monitors) or monitors < 1:
         raise ValueError("monitors must be an integer >= 1")
     t = np.asarray(t, dtype=float)
@@ -63,7 +62,6 @@ def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> Monit
     (deadline too early for the worm to have scanned enough, or so early
     that the expected scans round to 0, which no telescope size reaches).
     """
-    validate(params)
     if not _is_positive(deadline_itu):
         raise ValueError("deadline_itu must be positive")
     per_monitor = expected_scans(deadline_itu, params, 1)

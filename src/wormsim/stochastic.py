@@ -59,18 +59,29 @@ from .core import (
     TrajectorySource,
     _is_count,
     _is_positive,
-    validate,
 )
 
 
 @dataclass(frozen=True)
 class StochasticConfig:
-    """Simulation horizon, sampling grid, and RNG seeding (times in ITU)."""
+    """Horizon, sampling grid and RNG seeding (ITU); a bad setting raises ValueError."""
 
     t_end_itu: float
     seed: int
     sample_dt_itu: float = 0.05
     runs: int = 1
+
+    def __post_init__(self):
+        if not _is_positive(self.t_end_itu):
+            raise ValueError("t_end_itu must be positive")
+        if not _is_positive(self.sample_dt_itu):
+            raise ValueError("sample_dt_itu must be positive")
+        if not _is_count(self.runs) or self.runs < 1:
+            raise ValueError("runs must be an integer >= 1")
+        if not _is_count(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if self.seed + self.runs > 2**128:  # Philox keys seed + k must stay below 2**128
+            raise ValueError("seed + runs must be at most 2**128")
 
 
 @dataclass
@@ -87,21 +98,6 @@ class EnsembleResult:
 # About N events per patched run at 0.2-0.4 us each; a pool takes 8-20 ms to
 # create, run 50 trivial tasks and tear down, so smaller ensembles run here.
 _POOL_MIN_HOST_RUNS = 100_000
-
-
-def validate_config(config: StochasticConfig) -> StochasticConfig:
-    if not _is_positive(config.t_end_itu):
-        raise ValueError("t_end_itu must be positive")
-    if not _is_positive(config.sample_dt_itu):
-        raise ValueError("sample_dt_itu must be positive")
-    runs, seed = config.runs, config.seed
-    if not _is_count(runs) or runs < 1:
-        raise ValueError("runs must be an integer >= 1")
-    if not _is_count(seed) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    if seed + runs > 2**128:  # Philox keys seed + k must stay below 2**128
-        raise ValueError("seed + runs must be at most 2**128")
-    return config
 
 
 def _rng(key: int) -> np.random.Generator:
@@ -222,8 +218,6 @@ def simulate(params: ScenarioParams, config: StochasticConfig) -> Trajectory:
     Identical (params, config) always produce a bit-identical
     trajectory; the run is driven by Philox key config.seed.
     """
-    validate(params)
-    validate_config(config)
     grid = _grid(config)
     (s, i, p), halt = _run(params, config.seed, grid)
     return Trajectory(
@@ -281,8 +275,6 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
     Results depend only on (params, config), never on the split or the
     order runs complete.
     """
-    validate(params)
-    validate_config(config)
     grid = _grid(config)
     runs = np.empty((config.runs, 3, len(grid)))
     for k, (sip, _) in enumerate(_runs(params, config, grid)):
@@ -305,7 +297,6 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
 # ---------------------------------------------------------------------------
 
 def _check_monitors(params: ScenarioParams, monitors: int) -> None:
-    validate(params)
     if params.defense is not DefenseKind.NO_PATCHING:
         raise ValueError("detection runs model the undefended worm only")
     if not _is_count(monitors):
@@ -343,7 +334,6 @@ def detection_sim(
     Runs with no hit before the horizon report inf.
     """
     _check_monitors(params, monitors)
-    validate_config(config)
     c = monitors / params.n_hosts
     t_end = config.t_end_itu
     out = np.empty(config.runs)
@@ -373,7 +363,6 @@ def monitor_scan_counts(
     with mean equal to the hazard increment, sampled exactly.
     """
     _check_monitors(params, monitors)
-    validate_config(config)
     grid = _grid(config)
     c = monitors / params.n_hosts
     counts = np.zeros((config.runs, len(grid)), dtype=np.int64)

@@ -7,6 +7,7 @@ import os
 import reprlib
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -483,8 +484,10 @@ def test_monitor_faults_are_config_errors(overrides, message, tmp_path, capsys):
     ["--config", "codered-fixed", "--engines", "closed_form",
      "--set", "integrator.sample_stride=1", "--set", "integrator.dt_itu=1e-13"],
     ["--config", "monitoring-slammer", "--set", "monitors.deadline_itu=1e-17"],
+    ["--config", "codered-nopatch-desk", "--engines", "stochastic",
+     "--set", "params.n_hosts=10000000000000", "--set", "stochastic.runs=1"],
 ], ids=["integrate-samples", "stochastic-grid", "stochastic-runs", "closed-form-grid",
-        "deadline-scans-round-to-zero"])
+        "deadline-scans-round-to-zero", "stochastic-holding-times"])
 def test_oversized_or_hopeless_requests_exit_2(argv, monkeypatch, tmp_path, capsys):
     # Refused before any engine runs, so nothing is allocated or written.
     monkeypatch.setattr(cli, "run_engine", lambda *_args: pytest.fail("an engine ran"))
@@ -614,8 +617,9 @@ def test_single_stochastic_run_writes_simulate(name, tmp_path):
 
 def test_trajectory_csv_matches_csv_writer(tmp_path):
     # The same bytes as the stdlib writer, for a signed zero, the reprs that
-    # switch to exponent form, the smallest subnormal and the largest float.
-    values = np.array([-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308])
+    # switch to exponent form, the smallest subnormal and the largest float,
+    # repeated past the writer's first block of 65,536 rows.
+    values = np.resize([-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308], 65536 + 3)
     params = resolve_scenario(_nopatch_config()).params
     traj = Trajectory(t_itu=values, s=values[::-1].copy(), i=np.roll(values, 1),
                       p=np.roll(values, 2), params=params,
@@ -627,6 +631,25 @@ def test_trajectory_csv_matches_csv_writer(tmp_path):
         writer.writerows(zip(values.tolist(), traj.t_wallclock().tolist(), traj.s.tolist(),
                              traj.i.tolist(), traj.p.tolist()))
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "stdlib.csv").read_bytes()
+
+
+def test_trajectory_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+    # Rows become Python floats one block at a time, so four times the rows
+    # must not take four times the memory; a run near the 2**28-float
+    # ceiling would otherwise need about 10 GiB to write its CSV.
+    params = resolve_scenario(_nopatch_config()).params
+    peaks = []
+    for rows in (100_000, 400_000):
+        zeros = np.zeros(rows)
+        traj = Trajectory(t_itu=np.arange(rows) * 0.5, s=zeros, i=zeros, p=zeros,
+                          params=params, source=TrajectorySource.CLOSED_FORM)
+        tracemalloc.start()
+        try:
+            cli.write_trajectory_csv(str(tmp_path / "rows.csv"), traj)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
@@ -880,6 +903,10 @@ CONFIG_ERRORS = [
     ("stochastic-too-many-floats",
      _resolve_with(_set(None, engines=["stochastic"]), _set("stochastic", runs=10**9)),
      "engine stochastic would hold 7.23e+11 floats, more than the ceiling of 2**28"),
+    # an undefended run holds its N - i0 holding times, rates and jump times at once
+    ("stochastic-holding-times-too-many-floats",
+     _resolve_with(_set(None, engines=["stochastic"]), _set("params", n_hosts=10**13)),
+     "engine stochastic would hold 3e+13 floats, more than the ceiling of 2**28"),
 ]
 
 

@@ -2,13 +2,16 @@
 
 import dataclasses
 import inspect
+import pickle
 
 import numpy as np
 import pytest
 
 import wormsim
+from wormsim import fluid
 from wormsim.core import (
     DefenseKind,
+    PopulationState,
     ScenarioError,
     ScenarioParams,
     TimeValue,
@@ -21,6 +24,8 @@ from wormsim.core import (
     validate,
     validate_trajectory,
 )
+from wormsim.integrate import IntegratorConfig
+from wormsim.stochastic import StochasticConfig
 
 
 def test_defense_kind_config_values():
@@ -68,6 +73,31 @@ def test_validate_rejects_bad_params(codered_fixed, overrides, message):
 
 def test_validate_allows_unpatched_without_p_bar(codered_nopatch):
     assert validate(codered_nopatch) is codered_nopatch
+
+
+def test_params_and_configs_check_themselves_when_built(codered_fixed):
+    # Each call once returned a number for these params; now none can be built.
+    probes = [
+        (dict(n_hosts=100, i0=200, defense=DefenseKind.PEER_TO_PEER, p_bar=10),
+         "i0 \\+ p_bar", lambda params: fluid.closed_form_p2p(1.0, params)),
+        (dict(n_hosts=100, virulence=-1.0, defense=DefenseKind.NO_PATCHING),
+         "virulence", lambda params: itu_to_wallclock(2.0, params)),
+        (dict(n_hosts=-5, gamma=-2.0, defense=DefenseKind.NO_PATCHING),
+         "n_hosts", lambda params: fluid.rhs(PopulationState(1.0, 1.0, 0.0), params)),
+    ]
+    for fields, message, call in probes:
+        with pytest.raises(ScenarioError, match=message):
+            call(ScenarioParams(**{"virulence": 1.0, "i0": 1, **fields}))
+    with pytest.raises(ScenarioError, match="i0 \\+ p_bar"):
+        dataclasses.replace(codered_fixed, i0=359990)
+    config = StochasticConfig(t_end_itu=5.0, seed=7, runs=3)
+    with pytest.raises(ValueError, match="runs"):
+        dataclasses.replace(config, runs=0)
+    with pytest.raises(ValueError, match="dt_itu"):
+        dataclasses.replace(IntegratorConfig(t_end_itu=5.0), dt_itu=0.02)
+    # Unpickling does not re-run __init__: a fork pool's workers get the object as is.
+    for checked in (codered_fixed, config):
+        assert pickle.loads(pickle.dumps(checked)) == checked
 
 
 def test_initial_state_counts(codered_fixed, codered_nopatch):

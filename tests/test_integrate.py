@@ -15,7 +15,7 @@ from wormsim.core import (
     initial_state,
     validate_trajectory,
 )
-from wormsim.integrate import IntegratorConfig, integrate, validate_config
+from wormsim.integrate import IntegratorConfig, integrate
 
 
 # --- configuration ------------------------------------------------------
@@ -39,12 +39,12 @@ from wormsim.integrate import IntegratorConfig, integrate, validate_config
 )
 def test_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        validate_config(IntegratorConfig(**kwargs))
+        IntegratorConfig(**kwargs)
 
 
 def test_default_step_accepted():
     cfg = IntegratorConfig(t_end_itu=5.0)
-    assert validate_config(cfg) is cfg
+    assert cfg.t_end_itu == 5.0
     assert cfg.dt_itu == 0.001
     assert cfg.sample_stride == 10
 

@@ -17,7 +17,6 @@ from wormsim.stochastic import (
     ensemble,
     monitor_scan_counts,
     simulate,
-    validate_config,
 )
 
 
@@ -42,13 +41,13 @@ from wormsim.stochastic import (
 )
 def test_config_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        validate_config(StochasticConfig(**kwargs))
+        StochasticConfig(**kwargs)
 
 
 def test_config_accepts_keys_up_to_philox_bound():
     # Runs are keyed seed .. seed + runs - 1; the last key below 2**128 is valid.
     config = StochasticConfig(t_end_itu=5.0, seed=2**128 - 3, runs=3)
-    assert validate_config(config) is config
+    assert (config.seed, config.runs) == (2**128 - 3, 3)
 
 
 @pytest.mark.parametrize(
@@ -67,10 +66,11 @@ def test_config_accepts_keys_up_to_philox_bound():
     ],
 )
 def test_entry_points_validate_params(call):
-    params = ScenarioParams(
-        n_hosts=100, virulence=1.0, i0=101, defense=DefenseKind.NO_PATCHING
-    )
+    # Invalid params cannot be built, so no entry point ever receives them.
     with pytest.raises(ScenarioError, match="i0 \\+ p_bar"):
+        params = ScenarioParams(
+            n_hosts=100, virulence=1.0, i0=101, defense=DefenseKind.NO_PATCHING
+        )
         call(params, StochasticConfig(t_end_itu=2.0, seed=0))
 
 
