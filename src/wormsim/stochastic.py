@@ -21,19 +21,22 @@ independent Poisson increments.
 
 Randomness comes from numpy's counter-based Philox generator; run k of
 an ensemble uses key seed + k, making every run independently
-reproducible and the ensemble independent of execution order.  A
-patched ensemble of two or more runs and at least 100,000 host-runs
-(runs * N) therefore spreads its runs over forked worker processes, one
-per usable CPU, when the platform can fork and the caller is neither a
-daemonic pool worker nor multi-threaded; results are collected in key
-order, so they never depend on the split.
+reproducible.  An ensemble runs its runs in key order in this process.
+
+The patched event loop runs compiled: _patched.c, a line-for-line C
+translation of _run_patched, is built with the system cc beside this
+file on the first patched run and called through ctypes.  Where it
+cannot be built or loaded (no compiler, a read-only directory, no
+source), _run_patched itself runs, with the same bytes out.
 
 Seeded patched runs stay bit-identical only while this draw contract
-holds: each event spends exactly two uniforms of the run's stream, the
-holding time and then the event, drawn in blocks of 16384 (even, so no
-pair straddles two blocks); the holding time is -math.log1p(-u) / total
-(array np.log1p differs in the last ulp on some inputs).  Python floats
-follow the same IEEE-754 double arithmetic as numpy float64 scalars.
+holds, in both loops: each event spends exactly two uniforms of the
+run's stream, the holding time and then the event, drawn in blocks of
+16384 (even, so no pair straddles two blocks); the holding time is
+-log1p(-u) / total with libm's log1p, which math.log1p calls (array
+np.log1p differs in the last ulp on some inputs).  Python floats follow
+the same IEEE-754 double arithmetic as numpy float64 scalars and C
+doubles compiled without contraction or fast-math.
 Host counts are carried as floats: every count and the product S * I
 are integers below 2**53 (N up to ~1.9e8), so each rate rounds exactly
 as the integer form does.  A seeded undefended run likewise draws all
@@ -95,9 +98,14 @@ class EnsembleResult:
     extinct_before_end: int
 
 
-# About N events per patched run at 0.2-0.4 us each; a pool takes 8-20 ms to
-# create, run 50 trivial tasks and tear down, so smaller ensembles run here.
-_POOL_MIN_HOST_RUNS = 100_000
+_DRAW_BLOCK = 16384  # uniforms per Generator call in the patched loop
+
+# The compiled loop's source and flags; the library built from them is
+# named by a hash of both, so an edited source never loads a stale build.
+# No -march=native or -ffast-math: a fused multiply-add or a reassociated
+# sum would change the rounding.
+_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_patched.c")
+_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _rng(key: int) -> np.random.Generator:
@@ -165,7 +173,7 @@ def _run_patched(params: ScenarioParams, gen, grid):
     log1p = math.log1p
     halt = None
     while True:
-        draws = iter(gen.random(16384).tolist())
+        draws = iter(gen.random(_DRAW_BLOCK).tolist())
         for u_hold, u_event in zip(draws, draws):
             unpatched = s + i
             rate_infect = s * i / n
@@ -205,11 +213,108 @@ def _run_patched(params: ScenarioParams, gen, grid):
                 p += 1.0
 
 
+def _build(source: str) -> str | None:
+    """Path of the library compiled from source, built beside it if missing.
+
+    The compiler writes to a temporary name in the source's directory,
+    which os.replace then moves to the final name, so a reader never
+    sees half a library.  None, silently, when the source is unreadable,
+    there is no cc, the directory is read-only or the build fails.
+    """
+    import hashlib
+    import shutil
+    import subprocess
+    import tempfile
+
+    try:
+        with open(source, "rb") as fh:
+            text = fh.read()
+    except OSError:
+        return None
+    digest = hashlib.sha256(text + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    lib = f"{os.path.splitext(source)[0]}-{digest}.so"
+    if os.path.exists(lib):
+        return lib
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(lib) + ".", suffix=".tmp",
+            dir=os.path.dirname(source),
+        )
+    except OSError:
+        return None
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *_CFLAGS, "-o", tmp, source, "-lm"], check=True, timeout=120,
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        os.replace(tmp, lib)
+    except (OSError, subprocess.SubprocessError):
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        return None
+    return lib
+
+
+@functools.cache
+def _patched_block():
+    """The compiled block loop, or None to run _run_patched instead.
+
+    Built or loaded once per process, on the first patched run, and a
+    failed build is not retried.
+    """
+    lib = _build(_C_SOURCE)
+    if lib is None:
+        return None
+    import ctypes
+
+    try:
+        block = ctypes.CDLL(lib).wormsim_patched_block
+    except (OSError, AttributeError):
+        return None
+    f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+    i64 = ctypes.c_int64
+    block.argtypes = [
+        f64, f64, ctypes.c_int32, f64, i64, f64, i64, i64, f64, f64, f64,
+    ]
+    block.restype = i64
+    return block
+
+
+def _run_compiled(block, params: ScenarioParams, gen, grid):
+    """_run_patched through the compiled loop: the same draws, the same bytes."""
+    n = float(params.n_hosts)
+    g = params.gamma
+    pb = float(params.p_bar)
+    par = np.array([n, g, pb, g / n, g * pb])
+    i = float(params.i0)
+    st = np.array([n - i - pb, i, pb, 0.0, 0.0])  # s, i, p, t, halt
+    is_fixed = params.defense is DefenseKind.FIXED_SERVERS
+    n_pts = len(grid)
+    out_s, out_i, out_p = sip = np.empty((3, n_pts))
+    gi = 0
+    while gi < n_pts:
+        draws = gen.random(_DRAW_BLOCK)
+        gi = block(st, par, is_fixed, draws, _DRAW_BLOCK, grid, n_pts, gi,
+                   out_s, out_i, out_p)
+    halt = float(st[4])
+    return sip, (halt if halt > 0.0 else None)
+
+
 def _run(params: ScenarioParams, run_key: int, grid: np.ndarray):
     gen = _rng(run_key)
     if params.defense is DefenseKind.NO_PATCHING:
         return _run_no_patch(params, gen, grid)
-    return _run_patched(params, gen, grid)
+    block = _patched_block()
+    if block is None:
+        return _run_patched(params, gen, grid)
+    return _run_compiled(block, params, gen, grid)
 
 
 def simulate(params: ScenarioParams, config: StochasticConfig) -> Trajectory:
@@ -227,39 +332,8 @@ def simulate(params: ScenarioParams, config: StochasticConfig) -> Trajectory:
 
 
 def _runs(params: ScenarioParams, config: StochasticConfig, grid: np.ndarray):
-    """Yield each run's (S, I, P rows on the grid, halt) in key order.
-
-    Large patched ensembles of two or more runs fork one worker per
-    usable CPU; a worker that is free takes the next run, and imap
-    hands results back in key order, holding only the runs in flight.
-    """
-    keys = range(config.seed, config.seed + config.runs)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, config.runs)
-    if (
-        params.defense is not DefenseKind.NO_PATCHING
-        and config.runs * params.n_hosts >= _POOL_MIN_HOST_RUNS
-        and workers >= 2
-    ):
-        import multiprocessing
-        import threading
-
-        # Forked workers start without re-importing numpy, but a fork
-        # is only safe from a single-threaded process, and a daemonic
-        # pool worker may not have children at all.
-        if (
-            "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-            and threading.active_count() == 1
-        ):
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                yield from pool.imap(functools.partial(_run, params, grid=grid), keys)
-            return
-    for key in keys:
+    """Yield each run's (S, I, P rows on the grid, halt) in key order."""
+    for key in range(config.seed, config.seed + config.runs):
         yield _run(params, key, grid)
 
 
@@ -269,11 +343,9 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
     Returns the per-grid-point mean trajectory and two-pass standard
     deviation (population convention), plus how many runs end with I = 0
     at the last grid point.  The runs are held at once: runs * 3 *
-    len(grid) floats, 1.15 MB for 50 runs of 961 points.  Patched
-    ensembles of at least 100,000 host-runs (runs * N) fork one worker
-    per usable CPU; undefended ensembles always run in this process.
-    Results depend only on (params, config), never on the split or the
-    order runs complete.
+    len(grid) floats, 1.15 MB for 50 runs of 961 points.  The runs go
+    in key order in this process, so results depend only on (params,
+    config), and never on which event loop ran.
     """
     grid = _grid(config)
     runs = np.empty((config.runs, 3, len(grid)))

@@ -95,7 +95,7 @@ def test_params_and_configs_check_themselves_when_built(codered_fixed):
         dataclasses.replace(config, runs=0)
     with pytest.raises(ValueError, match="dt_itu"):
         dataclasses.replace(IntegratorConfig(t_end_itu=5.0), dt_itu=0.02)
-    # Unpickling does not re-run __init__: a fork pool's workers get the object as is.
+    # Unpickling does not re-run __init__: a pickled copy is the checked object as is.
     for checked in (codered_fixed, config):
         assert pickle.loads(pickle.dumps(checked)) == checked
 

@@ -1,14 +1,19 @@
 """Exact-jump stochastic simulation, ensembles, and detection sampling."""
 
 import copy
+import ctypes
+import dataclasses
 import math
-import multiprocessing
 import os
+import shutil
+import subprocess
+import tempfile
 
 import numpy as np
 import pytest
 
 from wormsim import fluid, stochastic
+from wormsim.cli import load_config, resolve_scenario
 from wormsim.core import DefenseKind, ScenarioError, ScenarioParams, TrajectorySource
 from wormsim.integrate import IntegratorConfig, integrate
 from wormsim.stochastic import (
@@ -168,7 +173,7 @@ def test_ensemble_spread_holds_at_large_counts(monkeypatch, offset):
         np.testing.assert_allclose(std, 0.14, rtol=1e-12, atol=0.0)
 
 
-_POOL_CASES = [
+_SMALL_PATCHED = [
     ScenarioParams(
         n_hosts=2000, virulence=1.0, i0=5,
         defense=DefenseKind.FIXED_SERVERS, gamma=1.5, p_bar=5,
@@ -188,62 +193,15 @@ def _same_ensemble(a, b):
             and a.extinct_before_end == b.extinct_before_end)
 
 
-@pytest.mark.parametrize("params", _POOL_CASES, ids=["fixed", "p2p"])
-def test_pooled_ensemble_matches_serial(monkeypatch, params):
-    # Five runs: more runs than CPUs, and an odd count.
-    cfg = StochasticConfig(t_end_itu=20.0, seed=21, runs=5)
-    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", math.inf)
-    serial = ensemble(params, cfg)
-    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", 0)
-    pooled = ensemble(params, cfg)
-    assert _same_ensemble(pooled, serial)
+@pytest.mark.parametrize("params", _SMALL_PATCHED, ids=["fixed", "p2p"])
+def test_ensemble_mean_is_key_ordered_sum_of_runs(params):
+    # Five runs, an odd count: the mean adds run k = seed + k in key order.
+    res = ensemble(params, StochasticConfig(t_end_itu=20.0, seed=21, runs=5))
     stack = np.stack(
         [simulate(params, StochasticConfig(t_end_itu=20.0, seed=21 + k)).i
          for k in range(5)]
     )
-    assert np.array_equal(pooled.mean.i, stack.sum(axis=0) / 5.0)
-
-
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-_serial_run = stochastic._run
-
-
-def _run_tagged_with_pid(params, run_key, grid):
-    sip, _ = _serial_run(params, run_key, grid)
-    return sip, os.getpid()
-
-
-@pytest.mark.skipif(not _CAN_FORK or _CPUS < 2, reason="needs fork and 2 CPUs")
-def test_large_patched_ensemble_runs_in_workers(monkeypatch):
-    cfg = StochasticConfig(t_end_itu=20.0, seed=21, runs=5)
-    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", 0)
-    monkeypatch.setattr(stochastic, "_run", _run_tagged_with_pid)
-    grid = stochastic._grid(cfg)
-    pids = {r[1] for r in stochastic._runs(_POOL_CASES[0], cfg, grid)}
-    assert pids and os.getpid() not in pids
-    undefended = ScenarioParams(
-        n_hosts=2000, virulence=1.0, i0=5, defense=DefenseKind.NO_PATCHING
-    )
-    pids = {r[1] for r in stochastic._runs(undefended, cfg, grid)}
-    assert pids == {os.getpid()}
-
-
-def _ensemble_in_pool_worker(params):
-    return ensemble(params, StochasticConfig(t_end_itu=20.0, seed=21, runs=5))
-
-
-@pytest.mark.skipif(not _CAN_FORK, reason="needs fork")
-def test_ensemble_inside_pool_worker_runs_in_process(monkeypatch):
-    # A daemonic pool worker may not fork workers of its own; ensemble
-    # must fall back to running its runs in that worker.
-    params = _POOL_CASES[1]
-    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", 0)
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        got = pool.apply_async(_ensemble_in_pool_worker, (params,)).get(timeout=60)
-    monkeypatch.setattr(stochastic, "_POOL_MIN_HOST_RUNS", math.inf)
-    assert _same_ensemble(got, _ensemble_in_pool_worker(params))
+    assert np.array_equal(res.mean.i, stack.sum(axis=0) / 5.0)
 
 
 def test_ensemble_mean_approaches_fluid_with_population():
@@ -429,51 +387,76 @@ _FIXED = DefenseKind.FIXED_SERVERS
 _P2P = DefenseKind.PEER_TO_PEER
 
 
+_EVENT_LOOP_CASES = [
+    (  # absorbed well before the horizon with the worm extinct
+        "fixed-extinct",
+        _patched(_FIXED, 300, 3, 2.0, 5),
+        StochasticConfig(t_end_itu=200.0, seed=4),
+        lambda r, params: r[4] and r[3] is not None and r[3] < 100.0,
+    ),
+    (
+        "p2p",
+        _patched(_P2P, 300, 3, 2.0, 5),
+        StochasticConfig(t_end_itu=12.0, seed=9),
+        lambda r, params: True,
+    ),
+    (  # the fixed-server workforce outnumbers the unpatched hosts
+        "pbar-exceeds-unpatched",
+        _patched(_FIXED, 400, 5, 0.5, 100),
+        StochasticConfig(t_end_itu=60.0, seed=2),
+        lambda r, params: r[0][-1] + r[1][-1] < params.p_bar,
+    ),
+    (  # many grid points between consecutive events
+        "fine-grid",
+        _patched(_FIXED, 50, 2, 0.3, 2),
+        StochasticConfig(t_end_itu=10.0, seed=6, sample_dt_itu=1e-3),
+        lambda r, params: len(r[0]) == 10001,
+    ),
+    (
+        "one-point-grid",
+        _patched(_P2P, 1000, 5, 1.0, 5),
+        StochasticConfig(t_end_itu=0.04, seed=1),
+        lambda r, params: len(r[0]) == 1,
+    ),
+    (
+        "two-point-grid",
+        _patched(_FIXED, 1000, 5, 1.0, 5),
+        StochasticConfig(t_end_itu=0.05, seed=1),
+        lambda r, params: len(r[0]) == 2,
+    ),
+    (  # more than 8192 events: crosses a 16384-uniform block boundary
+        "block-boundary",
+        _patched(_P2P, 20000, 25, 2.0, 10),
+        StochasticConfig(t_end_itu=30.0, seed=3),
+        lambda r, params: r[2][-1] - params.p_bar > 8192,
+    ),
+]
+
+
+def _compiled_block():
+    """The compiled block loop; it must build wherever there is a cc."""
+    block = stochastic._patched_block()
+    if block is None and shutil.which("cc") is None:
+        pytest.skip("no cc to build the compiled event loop")
+    assert block is not None
+    return block
+
+
+def _compiled_run(params, gen, grid):
+    return stochastic._run_compiled(_compiled_block(), params, gen, grid)
+
+
+# The Python loop keeps each case's own id; the compiled loop adds "-compiled".
 @pytest.mark.parametrize(
-    "params,cfg,check",
-    [
-        (  # absorbed well before the horizon with the worm extinct
-            _patched(_FIXED, 300, 3, 2.0, 5),
-            StochasticConfig(t_end_itu=200.0, seed=4),
-            lambda r, params: r[4] and r[3] is not None and r[3] < 100.0,
-        ),
-        (
-            _patched(_P2P, 300, 3, 2.0, 5),
-            StochasticConfig(t_end_itu=12.0, seed=9),
-            lambda r, params: True,
-        ),
-        (  # the fixed-server workforce outnumbers the unpatched hosts
-            _patched(_FIXED, 400, 5, 0.5, 100),
-            StochasticConfig(t_end_itu=60.0, seed=2),
-            lambda r, params: r[0][-1] + r[1][-1] < params.p_bar,
-        ),
-        (  # many grid points between consecutive events
-            _patched(_FIXED, 50, 2, 0.3, 2),
-            StochasticConfig(t_end_itu=10.0, seed=6, sample_dt_itu=1e-3),
-            lambda r, params: len(r[0]) == 10001,
-        ),
-        (
-            _patched(_P2P, 1000, 5, 1.0, 5),
-            StochasticConfig(t_end_itu=0.04, seed=1),
-            lambda r, params: len(r[0]) == 1,
-        ),
-        (
-            _patched(_FIXED, 1000, 5, 1.0, 5),
-            StochasticConfig(t_end_itu=0.05, seed=1),
-            lambda r, params: len(r[0]) == 2,
-        ),
-        (  # more than 8192 events: crosses a 16384-uniform block boundary
-            _patched(_P2P, 20000, 25, 2.0, 10),
-            StochasticConfig(t_end_itu=30.0, seed=3),
-            lambda r, params: r[2][-1] - params.p_bar > 8192,
-        ),
-    ],
-    ids=["fixed-extinct", "p2p", "pbar-exceeds-unpatched", "fine-grid",
-         "one-point-grid", "two-point-grid", "block-boundary"],
+    "loop,params,cfg,check",
+    [pytest.param(stochastic._run_patched, *case, id=name)
+     for name, *case in _EVENT_LOOP_CASES]
+    + [pytest.param(_compiled_run, *case, id=f"{name}-compiled")
+       for name, *case in _EVENT_LOOP_CASES],
 )
-def test_event_loop_matches_reference(params, cfg, check):
+def test_event_loop_matches_reference(loop, params, cfg, check):
     grid = stochastic._grid(cfg)
-    sip, halt = stochastic._run_patched(params, stochastic._rng(cfg.seed), grid)
+    sip, halt = loop(params, stochastic._rng(cfg.seed), grid)
     want = _ref_run_patched(params, stochastic._rng(cfg.seed), grid)
     assert check(want, params)  # the case exercises what its id says
     assert sip.shape == (3, len(grid))
@@ -481,6 +464,109 @@ def test_event_loop_matches_reference(params, cfg, check):
         assert np.array_equal(a, b)
     assert halt == want[3]
     assert (sip[1][-1] == 0) == want[4]
+
+
+def _python_ensemble(monkeypatch, params, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(stochastic, "_patched_block", lambda: None)
+        return ensemble(params, cfg)
+
+
+@pytest.mark.parametrize("name", ["codered-fixed-desk", "codered-p2p-g2-desk"])
+@pytest.mark.parametrize("seed", [0, 12345, 2**100 + 7])
+def test_compiled_desk_ensemble_equals_python(monkeypatch, name, seed):
+    scn = resolve_scenario(load_config(name))
+    cfg = dataclasses.replace(scn.stochastic, seed=seed, runs=4)
+    _compiled_block()
+    compiled = ensemble(scn.params, cfg)
+    assert _same_ensemble(compiled, _python_ensemble(monkeypatch, scn.params, cfg))
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the loaded loop, so the next patched run builds or loads anew."""
+    stochastic._patched_block.cache_clear()
+    yield
+    stochastic._patched_block.cache_clear()
+
+
+def _copy_source(tmp_path):
+    source = tmp_path / "_patched.c"
+    with open(stochastic._C_SOURCE, "rb") as fh:
+        source.write_bytes(fh.read())
+    return source
+
+
+@pytest.mark.parametrize("fault", ["no-cc", "read-only-dir", "no-source"])
+def test_unbuildable_loop_falls_back_silently(monkeypatch, tmp_path, capfd, fresh_loader, fault):
+    cfg = StochasticConfig(t_end_itu=20.0, seed=21, runs=3)
+    want = [ensemble(params, cfg) for params in _SMALL_PATCHED]
+    source = _copy_source(tmp_path)
+    if fault == "no-cc":
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+    elif fault == "read-only-dir":
+        def read_only(**kwargs):
+            raise PermissionError(13, "Permission denied", kwargs["dir"])
+        monkeypatch.setattr(tempfile, "mkstemp", read_only)
+    else:
+        source.unlink()
+    monkeypatch.setattr(stochastic, "_C_SOURCE", str(source))
+    stochastic._patched_block.cache_clear()
+    got = [ensemble(params, cfg) for params in _SMALL_PATCHED]
+    assert stochastic._patched_block() is None
+    assert all(_same_ensemble(a, b) for a, b in zip(got, want))
+    assert capfd.readouterr() == ("", "")
+    assert sorted(tmp_path.iterdir()) == ([] if fault == "no-source" else [source])
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+def test_failed_build_is_tried_once_per_process(monkeypatch, tmp_path, capfd, fresh_loader):
+    source = tmp_path / "_patched.c"
+    source.write_text("this is not C\n")
+    monkeypatch.setattr(stochastic, "_C_SOURCE", str(source))
+    builds = []
+    real_run = subprocess.run
+    monkeypatch.setattr(
+        subprocess, "run", lambda argv, **kw: builds.append(argv) or real_run(argv, **kw)
+    )
+    cfg = StochasticConfig(t_end_itu=20.0, seed=21, runs=3)
+    for _ in range(2):
+        got = ensemble(_SMALL_PATCHED[1], cfg)
+        assert _same_ensemble(got, _python_ensemble(monkeypatch, _SMALL_PATCHED[1], cfg))
+    assert len(builds) == 1
+    assert capfd.readouterr() == ("", "")
+    assert sorted(tmp_path.iterdir()) == [source]  # the failed build's temporary is gone
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+def test_edited_source_never_loads_stale_library(tmp_path):
+    source = _copy_source(tmp_path)
+    text = source.read_text()
+    first = stochastic._build(str(source))
+    assert first is not None and os.path.dirname(first) == str(tmp_path)
+    source.write_text(text + "#error edited\n")
+    assert stochastic._build(str(source)) is None  # not the earlier build
+    source.write_text(text + "/* edited */\n")
+    second = stochastic._build(str(source))
+    assert second not in (None, first) and os.path.exists(second)
+    assert stochastic._build(str(source)) == second  # an unchanged source reuses it
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+def test_library_is_built_and_loaded_beside_its_source(monkeypatch, tmp_path, fresh_loader):
+    loaded, made = [], []
+    real_cdll, real_mkstemp = ctypes.CDLL, tempfile.mkstemp
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: loaded.append(name) or real_cdll(name))
+    monkeypatch.setattr(
+        tempfile, "mkstemp", lambda **kw: made.append(kw["dir"]) or real_mkstemp(**kw)
+    )
+    package = os.path.dirname(os.path.abspath(stochastic.__file__))
+    assert stochastic._patched_block() is not None  # the package's own source
+    monkeypatch.setattr(stochastic, "_C_SOURCE", str(_copy_source(tmp_path)))
+    stochastic._patched_block.cache_clear()
+    assert stochastic._patched_block() is not None  # built fresh beside the copy
+    assert [os.path.dirname(lib) for lib in loaded] == [package, str(tmp_path)]
+    assert made[-1] == str(tmp_path) and set(made) <= {package, str(tmp_path)}
 
 
 def _ref_infection_jumps(params, gen):
