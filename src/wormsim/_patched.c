@@ -1,12 +1,14 @@
-/* The patched event loop of stochastic._run_patched, one block of
- * uniforms per call.
+/* The patched event loop, one block of uniforms per call: the block
+ * contract that stochastic._run_patched drives, and whose Python twin is
+ * stochastic._block.
  *
- * A line-for-line translation: the same float expressions in the same
- * order, log1p from libm (the function math.log1p calls), and two
- * uniforms per event.  It is built with -O2 -fno-fast-math
- * -ffp-contract=off, so that no expression is reassociated or fused and
- * every seeded run is bit-identical to the Python loop.  Plain C, called
- * through ctypes.
+ * The two are statement for statement alike: the same float expressions
+ * in the same order, log1p from libm (the function math.log1p calls),
+ * and two uniforms per event.  This file is built with -O2
+ * -fno-fast-math -ffp-contract=off, so that no expression is
+ * reassociated or fused and every seeded run is bit-identical to
+ * _block's; test_blocks_keep_lockstep compares the two after every
+ * call.  Plain C, called through ctypes.
  *
  * st holds s, i, p, t and halt; it is read on entry and written back
  * on return.  par holds n, g, pb, g_n and g_pb.  The grid rows from

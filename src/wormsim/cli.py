@@ -57,7 +57,7 @@ from .metrics import (
 )
 from .monitoring import expected_scans, monitors_for_detection, thumb_rule_monitors
 from .scenarios import BUILTIN_SCENARIOS, builtin_names, builtin_scenario
-from .stochastic import StochasticConfig, ensemble, simulate
+from .stochastic import StochasticConfig, _check_exact_counts, ensemble, simulate
 
 ENGINE_NAMES = ("closed_form", "integrate", "stochastic")
 
@@ -333,6 +333,8 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
     if raw["t_end_itu"] is None:
         raw["t_end_itu"] = integrator.t_end_itu
     stochastic = _checked("stochastic", StochasticConfig, **raw)
+    if "stochastic" in engines:
+        _checked("stochastic", _check_exact_counts, params)
 
     # Floats held, to within a few: t, S, I, P per RK4 sample or closed-form point,
     # S, I, P per stochastic grid point and run, and for an undefended run its

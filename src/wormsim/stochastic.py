@@ -23,14 +23,15 @@ Randomness comes from numpy's counter-based Philox generator; run k of
 an ensemble uses key seed + k, making every run independently
 reproducible.  An ensemble runs its runs in key order in this process.
 
-The patched event loop runs compiled: _patched.c, a line-for-line C
-translation of _run_patched, is built with the system cc beside this
-file on the first patched run and called through ctypes.  Where it
-cannot be built or loaded (no compiler, a read-only directory, no
-source), _run_patched itself runs, with the same bytes out.
+Every patched run is one driver, _run_patched, calling one block
+function per block of uniforms.  _patched.c's wormsim_patched_block,
+built with the system cc beside this file on the first patched run and
+called through ctypes, is that function; _block, its statement-for-
+statement Python twin, runs where the C cannot be built or loaded (no
+compiler, a read-only directory, no source), with the same bytes out.
 
 Seeded patched runs stay bit-identical only while this draw contract
-holds, in both loops: each event spends exactly two uniforms of the
+holds, in both blocks: each event spends exactly two uniforms of the
 run's stream, the holding time and then the event, drawn in blocks of
 16384 (even, so no pair straddles two blocks); the holding time is
 -log1p(-u) / total with libm's log1p, which math.log1p calls (array
@@ -38,12 +39,13 @@ np.log1p differs in the last ulp on some inputs).  Python floats follow
 the same IEEE-754 double arithmetic as numpy float64 scalars and C
 doubles compiled without contraction or fast-math.
 Host counts are carried as floats: every count and the product S * I
-are integers below 2**53 (N up to ~1.9e8), so each rate rounds exactly
-as the integer form does.  A seeded undefended run likewise draws all
-N - i0 holding times first, with standard_exponential (the same values
-and stream position as exponential(1.0)); a detection run's target or
-a scan-count run's Poisson counts come after them.  Jump times are
-summed only as far as the horizon needs.
+are integers below 2**53 while n_hosts**2 <= 2**55 (N <= 189,812,531),
+so each rate rounds exactly as the integer form does; simulate and
+ensemble refuse a larger patched run.  A seeded undefended run likewise
+draws all N - i0 holding times first, with standard_exponential (the
+same values and stream position as exponential(1.0)); a detection
+run's target or a scan-count run's Poisson counts come after them.
+Jump times are summed only as far as the horizon needs.
 """
 
 from __future__ import annotations
@@ -108,6 +110,13 @@ _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_patched.c
 _CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
+def _check_exact_counts(params: ScenarioParams) -> None:
+    """ValueError for a patched run too large for exact float host counts."""
+    if params.defense is not DefenseKind.NO_PATCHING and int(params.n_hosts) ** 2 > 2**55:
+        raise ValueError("a patched run counts hosts exactly only while n_hosts**2 <= 2**55, "
+                         f"that is n_hosts <= 189812531 (got {params.n_hosts})")
+
+
 def _rng(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -149,68 +158,58 @@ def _run_no_patch(params: ScenarioParams, gen, grid):
     jumps = _infection_jumps(params, gen, grid[-1])
     i = params.i0 + np.searchsorted(jumps, grid, side="right").astype(float)
     halt = None
-    if len(jumps) and jumps[-1] <= grid[-1]:
+    if jumps[-1] <= grid[-1]:
         halt = float(jumps[-1])  # fully infected: nothing left to happen
     return np.stack((params.n_hosts - i, i, np.zeros_like(i))), halt
 
 
-def _run_patched(params: ScenarioParams, gen, grid):
-    n = float(params.n_hosts)
-    g = params.gamma
-    pb = float(params.p_bar)
-    g_n = g / n
-    g_pb = g * pb
-    is_fixed = params.defense is DefenseKind.FIXED_SERVERS
-    i = float(params.i0)
-    s = n - i - pb
-    p = pb
-    n_pts = len(grid)
-    out_s, out_i, out_p = sip = np.empty((3, n_pts))
+def _block(st, par, is_fixed, draws, n_draws, grid, n_pts, gi, out_s, out_i, out_p):
+    """_patched.c's wormsim_patched_block in Python, statement for statement."""
+    n, g, pb, g_n, g_pb = par.tolist()
+    s, i, p, t = st[:4].tolist()
     grid = grid.tolist()
-    gi = 0
-    next_grid = grid[0]
-    t = 0.0
+    next_grid = grid[gi]
     log1p = math.log1p
-    halt = None
-    while True:
-        draws = iter(gen.random(_DRAW_BLOCK).tolist())
-        for u_hold, u_event in zip(draws, draws):
-            unpatched = s + i
-            rate_infect = s * i / n
-            if is_fixed:
-                rate_patch = g_pb if unpatched >= pb else g * unpatched
+    draws = iter(draws[:n_draws].tolist())
+    for u_hold, u_event in zip(draws, draws):
+        unpatched = s + i
+        rate_infect = s * i / n
+        if is_fixed:
+            rate_patch = g_pb if unpatched >= pb else g * unpatched
+        else:
+            rate_patch = g_n * unpatched * p
+        total = rate_infect + rate_patch
+        if total <= 0.0:
+            st[4] = t  # absorbed; state frozen
+            t_next = math.inf
+        else:
+            t_next = t + -log1p(-u_hold) / total
+        if next_grid < t_next:
+            while gi < n_pts and grid[gi] < t_next:
+                out_s[gi] = s
+                out_i[gi] = i
+                out_p[gi] = p
+                gi += 1
+            if gi == n_pts:
+                break
+            next_grid = grid[gi]
+        t = t_next
+        # One uniform picks the event and, for patches, the target:
+        # conditional on landing in the patch band, the offset is again
+        # uniform, so it reuses cleanly for the infected/susceptible split.
+        u = u_event * total
+        if u < rate_infect:
+            s -= 1.0
+            i += 1.0
+        else:
+            v = (u - rate_infect) / rate_patch * unpatched
+            if v < i:
+                i -= 1.0
             else:
-                rate_patch = g_n * unpatched * p
-            total = rate_infect + rate_patch
-            if total <= 0.0:
-                halt = t if t > 0.0 else None  # absorbed; state frozen
-                t_next = math.inf
-            else:
-                t_next = t + -log1p(-u_hold) / total
-            if next_grid < t_next:
-                while gi < n_pts and grid[gi] < t_next:
-                    out_s[gi] = s
-                    out_i[gi] = i
-                    out_p[gi] = p
-                    gi += 1
-                if gi == n_pts:  # equivalently t_next > grid[-1]
-                    return sip, halt
-                next_grid = grid[gi]
-            t = t_next
-            # One uniform picks the event and, for patches, the target:
-            # conditional on landing in the patch band, the offset is again
-            # uniform, so it reuses cleanly for the infected/susceptible split.
-            u = u_event * total
-            if u < rate_infect:
                 s -= 1.0
-                i += 1.0
-            else:
-                v = (u - rate_infect) / rate_patch * unpatched
-                if v < i:
-                    i -= 1.0
-                else:
-                    s -= 1.0
-                p += 1.0
+            p += 1.0
+    st[:4] = s, i, p, t
+    return gi
 
 
 def _build(source: str) -> str | None:
@@ -264,20 +263,20 @@ def _build(source: str) -> str | None:
 
 @functools.cache
 def _patched_block():
-    """The compiled block loop, or None to run _run_patched instead.
+    """The compiled block, or _block where it cannot be built or loaded.
 
     Built or loaded once per process, on the first patched run, and a
     failed build is not retried.
     """
     lib = _build(_C_SOURCE)
     if lib is None:
-        return None
+        return _block
     import ctypes
 
     try:
         block = ctypes.CDLL(lib).wormsim_patched_block
     except (OSError, AttributeError):
-        return None
+        return _block
     f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     i64 = ctypes.c_int64
     block.argtypes = [
@@ -287,8 +286,8 @@ def _patched_block():
     return block
 
 
-def _run_compiled(block, params: ScenarioParams, gen, grid):
-    """_run_patched through the compiled loop: the same draws, the same bytes."""
+def _run_patched(block, params: ScenarioParams, gen, grid):
+    """One patched run, one draw block per call of block (see _patched_block)."""
     n = float(params.n_hosts)
     g = params.gamma
     pb = float(params.p_bar)
@@ -311,10 +310,7 @@ def _run(params: ScenarioParams, run_key: int, grid: np.ndarray):
     gen = _rng(run_key)
     if params.defense is DefenseKind.NO_PATCHING:
         return _run_no_patch(params, gen, grid)
-    block = _patched_block()
-    if block is None:
-        return _run_patched(params, gen, grid)
-    return _run_compiled(block, params, gen, grid)
+    return _run_patched(_patched_block(), params, gen, grid)
 
 
 def simulate(params: ScenarioParams, config: StochasticConfig) -> Trajectory:
@@ -323,6 +319,7 @@ def simulate(params: ScenarioParams, config: StochasticConfig) -> Trajectory:
     Identical (params, config) always produce a bit-identical
     trajectory; the run is driven by Philox key config.seed.
     """
+    _check_exact_counts(params)
     grid = _grid(config)
     (s, i, p), halt = _run(params, config.seed, grid)
     return Trajectory(
@@ -345,8 +342,9 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
     at the last grid point.  The runs are held at once: runs * 3 *
     len(grid) floats, 1.15 MB for 50 runs of 961 points.  The runs go
     in key order in this process, so results depend only on (params,
-    config), and never on which event loop ran.
+    config), and never on which block ran.
     """
+    _check_exact_counts(params)
     grid = _grid(config)
     runs = np.empty((config.runs, 3, len(grid)))
     for k, (sip, _) in enumerate(_runs(params, config, grid)):

@@ -1,14 +1,17 @@
 """Rebuild the CLI golden files in this directory from the code under src/.
 
-    python tests/data/capture.py           # rewrite both files
+    python tests/data/capture.py           # rewrite all three files
     python tests/data/capture.py --check   # print each changed leaf; exit 1 on any
 
 ``compare_builtins.json`` maps each built-in to the exit code and stdout
-of ``wormsim compare`` on it, and ``cli_variants.json`` maps each case of
+of ``wormsim compare`` on it, ``cli_variants.json`` maps each case of
 ``VARIANTS`` to its report.json (less the environment block) and its
-compare output.  Both are built with the same helpers and arguments
-that ``tests/test_cli.py`` asserts with, so a rebuild at an unchanged
-tree writes the same bytes.  Re-pin a golden only for a deliberate change,
+compare output, and ``report_values.json`` maps each built-in to the
+report.json (less the environment block) of ``wormsim run`` with the
+arguments and seed behind ``perfbench/reference.json``'s digests.  All
+are built with the same helpers and arguments that
+``tests/test_cli.py`` asserts with, so a rebuild at an unchanged tree
+writes the same bytes.  Re-pin a golden only for a deliberate change,
 and show that change with ``--check`` first: it prints each changed leaf's
 path, old and new value, and for a number its relative change.
 """
@@ -56,9 +59,16 @@ def cli_variants(capsys) -> dict:
                 for case, config, sets in test_cli.VARIANTS}
 
 
+def report_values(capsys) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {name: test_cli._builtin_report_values(name, os.path.join(tmp, name))
+                for name in test_cli.builtin_names()}
+
+
 GOLDENS = {
     test_cli.COMPARE_GOLDEN: compare_builtins,
     test_cli.VARIANTS_GOLDEN: cli_variants,
+    test_cli.VALUES_GOLDEN: report_values,
 }
 
 

@@ -486,8 +486,10 @@ def test_monitor_faults_are_config_errors(overrides, message, tmp_path, capsys):
     ["--config", "monitoring-slammer", "--set", "monitors.deadline_itu=1e-17"],
     ["--config", "codered-nopatch-desk", "--engines", "stochastic",
      "--set", "params.n_hosts=10000000000000", "--set", "stochastic.runs=1"],
+    ["--config", "codered-p2p-g2-desk", "--engines", "stochastic",
+     "--set", "params.n_hosts=1000000000"],
 ], ids=["integrate-samples", "stochastic-grid", "stochastic-runs", "closed-form-grid",
-        "deadline-scans-round-to-zero", "stochastic-holding-times"])
+        "deadline-scans-round-to-zero", "stochastic-holding-times", "stochastic-host-counts"])
 def test_oversized_or_hopeless_requests_exit_2(argv, monkeypatch, tmp_path, capsys):
     # Refused before any engine runs, so nothing is allocated or written.
     monkeypatch.setattr(cli, "run_engine", lambda *_args: pytest.fail("an engine ran"))
@@ -560,14 +562,20 @@ VARIANTS = [
 ]
 
 
+def _report_values(out_dir):
+    """The report.json in out_dir without its environment block."""
+    with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    del report["environment"]
+    return report
+
+
 def _variant_outputs(config, sets, out_dir, capsys):
     """report.json without its environment block, and compare's exit and stdout."""
     argv = ["--config", config] + [arg for item in sets for arg in ("--set", item)]
     assert main(["run", "--out", str(out_dir)] + argv) == 0
     capsys.readouterr()
-    with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
-        report = json.load(fh)
-    del report["environment"]
+    report = _report_values(out_dir)
     code = main(["compare"] + argv)
     return {"report": report, "compare": {"exit": code, "stdout": capsys.readouterr().out}}
 
@@ -581,6 +589,33 @@ def test_variant_outputs_are_pinned(case, config, sets, tmp_path, capsys):
         golden = json.load(fh)[case]
     outputs = _variant_outputs(config, sets, tmp_path / "out", capsys)
     assert (json.dumps(outputs, indent=2, sort_keys=True)
+            == json.dumps(golden, indent=2, sort_keys=True))
+
+
+VALUES_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report_values.json")
+
+
+def _builtin_report_values(name, out_dir):
+    """_report_values of the benchmark's run of a built-in: the arguments and seed
+    that perfbench/reference.json's report.json digests were recorded with."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = next(w for w in workloads.CLI_WORKLOADS if name in workloads.cli_names(w))
+    seed = workloads.load_reference()["seed"]
+    assert main(workloads.cli_argv(workload, name, str(out_dir), seed)) == 0
+    return _report_values(out_dir)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_report_values_are_pinned(name, tmp_path, capsys):
+    # The reference digests tell only that a report.json byte moved; this
+    # golden holds the values, so capture.py --check names each leaf that
+    # moves.  Re-pin it only for a deliberate change.
+    with open(VALUES_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)[name]
+    values = _builtin_report_values(name, tmp_path / "out")
+    assert (json.dumps(values, indent=2, sort_keys=True)
             == json.dumps(golden, indent=2, sort_keys=True))
 
 
@@ -907,6 +942,12 @@ CONFIG_ERRORS = [
     ("stochastic-holding-times-too-many-floats",
      _resolve_with(_set(None, engines=["stochastic"]), _set("params", n_hosts=10**13)),
      "engine stochastic would hold 3e+13 floats, more than the ceiling of 2**28"),
+    # a patched run's float host counts are exact only while n_hosts**2 <= 2**55
+    ("stochastic-host-counts-inexact",
+     _resolve_with(_set(None, engines=["stochastic"]), _fixed,
+                   _set("params", n_hosts=189812532)),
+     "stochastic: a patched run counts hosts exactly only while n_hosts**2 <= 2**55, "
+     "that is n_hosts <= 189812531 (got 189812532)"),
 ]
 
 
@@ -934,6 +975,10 @@ ACCEPTED = [
     # report.json writes the float 2.0, not the integer 2
     ("gamma-int", _set("params", gamma=2), lambda scn: json.dumps(scn.params.gamma),
      "2.0"),
+    # the exact-count bound binds only when the stochastic engine runs
+    ("patched-past-count-bound-without-stochastic",
+     lambda c: (_fixed(c), c["params"].update(n_hosts=10**9)),
+     lambda scn: scn.params.n_hosts, 10**9),
 ]
 
 

@@ -55,6 +55,23 @@ def test_config_accepts_keys_up_to_philox_bound():
     assert (config.seed, config.runs) == (2**128 - 3, 3)
 
 
+_EXACT_MAX_HOSTS = 189812531  # the largest N with N**2 <= 2**55
+
+
+@pytest.mark.parametrize("defense", [DefenseKind.FIXED_SERVERS, DefenseKind.PEER_TO_PEER])
+@pytest.mark.parametrize("call", [simulate, ensemble], ids=["simulate", "ensemble"])
+def test_patched_runs_refuse_inexact_host_counts(call, defense):
+    # S * I <= N**2 / 4, an integer below 2**53 while N**2 <= 2**55.
+    assert _EXACT_MAX_HOSTS**2 <= 2**55 < (_EXACT_MAX_HOSTS + 1) ** 2
+    params = ScenarioParams(n_hosts=_EXACT_MAX_HOSTS + 1, virulence=1.0, i0=5,
+                            defense=defense, gamma=2.0, p_bar=10)
+    with pytest.raises(ValueError, match=r"n_hosts <= 189812531 \(got 189812532\)"):
+        call(params, StochasticConfig(t_end_itu=1.0, seed=0))
+    # The bound itself passes, and an undefended run has no such bound.
+    stochastic._check_exact_counts(dataclasses.replace(params, n_hosts=_EXACT_MAX_HOSTS))
+    stochastic._check_exact_counts(dataclasses.replace(params, defense=DefenseKind.NO_PATCHING))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -436,20 +453,24 @@ _EVENT_LOOP_CASES = [
 def _compiled_block():
     """The compiled block loop; it must build wherever there is a cc."""
     block = stochastic._patched_block()
-    if block is None and shutil.which("cc") is None:
+    if block is stochastic._block and shutil.which("cc") is None:
         pytest.skip("no cc to build the compiled event loop")
-    assert block is not None
+    assert block is not stochastic._block
     return block
 
 
+def _python_run(params, gen, grid):
+    return stochastic._run_patched(stochastic._block, params, gen, grid)
+
+
 def _compiled_run(params, gen, grid):
-    return stochastic._run_compiled(_compiled_block(), params, gen, grid)
+    return stochastic._run_patched(_compiled_block(), params, gen, grid)
 
 
 # The Python loop keeps each case's own id; the compiled loop adds "-compiled".
 @pytest.mark.parametrize(
     "loop,params,cfg,check",
-    [pytest.param(stochastic._run_patched, *case, id=name)
+    [pytest.param(_python_run, *case, id=name)
      for name, *case in _EVENT_LOOP_CASES]
     + [pytest.param(_compiled_run, *case, id=f"{name}-compiled")
        for name, *case in _EVENT_LOOP_CASES],
@@ -468,7 +489,7 @@ def test_event_loop_matches_reference(loop, params, cfg, check):
 
 def _python_ensemble(monkeypatch, params, cfg):
     with monkeypatch.context() as m:
-        m.setattr(stochastic, "_patched_block", lambda: None)
+        m.setattr(stochastic, "_patched_block", lambda: stochastic._block)
         return ensemble(params, cfg)
 
 
@@ -480,6 +501,40 @@ def test_compiled_desk_ensemble_equals_python(monkeypatch, name, seed):
     _compiled_block()
     compiled = ensemble(scn.params, cfg)
     assert _same_ensemble(compiled, _python_ensemble(monkeypatch, scn.params, cfg))
+
+
+def _lockstep(compiled, params, cfg):
+    """One patched run through both blocks at once: every call gets the same
+    draws, and both must leave the same state (s, i, p, t, halt), grid index
+    and grid rows.  Returns the grid index after each call."""
+    calls = []
+
+    def both(st, par, is_fixed, draws, n_draws, grid, n_pts, gi, *rows):
+        st_py, rows_py = st.copy(), [row.copy() for row in rows]
+        gi_py = stochastic._block(st_py, par, is_fixed, draws, n_draws, grid, n_pts, gi,
+                                  *rows_py)
+        gi_c = compiled(st, par, is_fixed, draws, n_draws, grid, n_pts, gi, *rows)
+        assert (len(calls), gi_c, st.tolist()) == (len(calls), gi_py, st_py.tolist())
+        for row, row_py in zip(rows, rows_py):
+            assert np.array_equal(row[gi:gi_c], row_py[gi:gi_c])
+        calls.append(gi_c)
+        return gi_c
+
+    stochastic._run_patched(both, params, stochastic._rng(cfg.seed), stochastic._grid(cfg))
+    return calls
+
+
+# Every event-loop case, and whole p2p runs to extinction at two sizes.
+@pytest.mark.parametrize(
+    "params,cfg",
+    [pytest.param(params, cfg, id=name) for name, params, cfg, _check in _EVENT_LOOP_CASES]
+    + [pytest.param(_patched(_P2P, n, 5, 2.0, 5), StochasticConfig(t_end_itu=40.0, seed=seed),
+                    id=f"p2p-{n}-seed{seed}")
+       for n in (1000, 20000) for seed in range(20)],
+)
+def test_blocks_keep_lockstep(params, cfg):
+    calls = _lockstep(_compiled_block(), params, cfg)
+    assert calls[-1] == len(stochastic._grid(cfg)) and calls[:-1] == sorted(calls[:-1])
 
 
 @pytest.fixture
@@ -513,7 +568,7 @@ def test_unbuildable_loop_falls_back_silently(monkeypatch, tmp_path, capfd, fres
     monkeypatch.setattr(stochastic, "_C_SOURCE", str(source))
     stochastic._patched_block.cache_clear()
     got = [ensemble(params, cfg) for params in _SMALL_PATCHED]
-    assert stochastic._patched_block() is None
+    assert stochastic._patched_block() is stochastic._block
     assert all(_same_ensemble(a, b) for a, b in zip(got, want))
     assert capfd.readouterr() == ("", "")
     assert sorted(tmp_path.iterdir()) == ([] if fault == "no-source" else [source])
@@ -561,10 +616,10 @@ def test_library_is_built_and_loaded_beside_its_source(monkeypatch, tmp_path, fr
         tempfile, "mkstemp", lambda **kw: made.append(kw["dir"]) or real_mkstemp(**kw)
     )
     package = os.path.dirname(os.path.abspath(stochastic.__file__))
-    assert stochastic._patched_block() is not None  # the package's own source
+    assert stochastic._patched_block() is not stochastic._block  # the package's own source
     monkeypatch.setattr(stochastic, "_C_SOURCE", str(_copy_source(tmp_path)))
     stochastic._patched_block.cache_clear()
-    assert stochastic._patched_block() is not None  # built fresh beside the copy
+    assert stochastic._patched_block() is not stochastic._block  # built fresh beside the copy
     assert [os.path.dirname(lib) for lib in loaded] == [package, str(tmp_path)]
     assert made[-1] == str(tmp_path) and set(made) <= {package, str(tmp_path)}
 
