@@ -41,6 +41,7 @@ from .core import (
     ScenarioParams,
     TimeValue,
     Trajectory,
+    itu_to_wallclock,
     validate_trajectory,
 )
 from .fluid import closed_form_trajectory, fixed_validity_window
@@ -563,7 +564,7 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
         for start in range(0, len(traj), 65536):  # Python floats for one block of rows
             block = slice(start, start + 65536)
             t_itu = traj.t_itu[block]
-            columns = (t_itu, t_itu / traj.params.virulence,
+            columns = (t_itu, itu_to_wallclock(t_itu, traj.params),
                        traj.s[block], traj.i[block], traj.p[block])
             fh.writelines(f"{t!r},{w!r},{s!r},{i!r},{p!r}\r\n" for t, w, s, i, p in
                           zip(*(np.asarray(column, dtype=float).tolist() for column in columns)))

@@ -99,6 +99,8 @@ def validate(params: ScenarioParams) -> ScenarioParams:
     patched = params.defense is not DefenseKind.NO_PATCHING
     if patched and (not _is_count(params.p_bar) or params.p_bar < 1):
         raise ScenarioError("p_bar must be an integer >= 1 when patching is enabled")
+    if patched and not params.gamma * params.p_bar < np.inf:  # the first patch rate
+        raise ScenarioError("gamma * p_bar must be finite")
     p0 = params.p_bar if patched else 0
     if params.i0 + p0 >= params.n_hosts:
         raise ScenarioError("i0 + p_bar >= n_hosts")
@@ -163,7 +165,7 @@ class Trajectory:
         return PopulationState(s=float(self.s[k]), i=float(self.i[k]), p=float(self.p[k]))
 
     def t_wallclock(self) -> np.ndarray:
-        return self.t_itu / self.params.virulence
+        return itu_to_wallclock(self.t_itu, self.params)
 
 
 def conservation_error(traj: Trajectory) -> float:

@@ -19,9 +19,9 @@ hits form a Poisson process whose intensity is (M/N) * I(t), so first
 hits come from inverting the cumulative hazard and hit counts from
 independent Poisson increments.
 
-Randomness comes from numpy's counter-based Philox generator; run k of
-an ensemble uses key seed + k, making every run independently
-reproducible.  An ensemble runs its runs in key order in this process.
+Randomness comes from numpy's counter-based Philox generator.  One rule,
+_generators, keys every run of every sampler (run k by the seed plus k),
+so each run is independently reproducible; runs go in key order.
 
 Every patched run is one driver, _run_patched, calling one block
 function per block of uniforms.  _patched.c's wormsim_patched_block,
@@ -85,7 +85,7 @@ class StochasticConfig:
             raise ValueError("runs must be an integer >= 1")
         if not _is_count(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.seed + self.runs > 2**128:  # Philox keys seed + k must stay below 2**128
+        if self.seed + self.runs > 2**128:  # the last run's Philox key must stay below 2**128
             raise ValueError("seed + runs must be at most 2**128")
 
 
@@ -119,6 +119,12 @@ def _check_exact_counts(params: ScenarioParams) -> None:
 
 def _rng(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _generators(config: StochasticConfig):
+    """Yield each run's generator in run order: run k draws from key seed + k."""
+    for key in range(config.seed, config.seed + config.runs):
+        yield _rng(key)
 
 
 def _grid(config: StochasticConfig) -> np.ndarray:
@@ -216,10 +222,13 @@ def _build(source: str) -> str | None:
     """Path of the library compiled from source, built beside it if missing.
 
     The compiler writes to a temporary name in the source's directory,
-    which os.replace then moves to the final name, so a reader never
-    sees half a library.  None, silently, when the source is unreadable,
-    there is no cc, the directory is read-only or the build fails.
+    which os.replace then moves to the final name (so a reader never sees
+    half a library) before older builds beside it are removed.  None,
+    silently, when the source is unreadable, there is no cc, the
+    directory is read-only or the build fails.
     """
+    import contextlib
+    import glob
     import hashlib
     import shutil
     import subprocess
@@ -231,7 +240,8 @@ def _build(source: str) -> str | None:
     except OSError:
         return None
     digest = hashlib.sha256(text + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-    lib = f"{os.path.splitext(source)[0]}-{digest}.so"
+    stem = os.path.splitext(source)[0]
+    lib = f"{stem}-{digest}.so"
     if os.path.exists(lib):
         return lib
     cc = shutil.which("cc")
@@ -253,11 +263,12 @@ def _build(source: str) -> str | None:
         )
         os.replace(tmp, lib)
     except (OSError, subprocess.SubprocessError):
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         return None
+    for old in set(glob.glob(glob.escape(stem) + "-" + "[0-9a-f]" * 16 + ".so")) - {lib}:
+        with contextlib.suppress(OSError):
+            os.unlink(old)
     return lib
 
 
@@ -306,8 +317,7 @@ def _run_patched(block, params: ScenarioParams, gen, grid):
     return sip, (halt if halt > 0.0 else None)
 
 
-def _run(params: ScenarioParams, run_key: int, grid: np.ndarray):
-    gen = _rng(run_key)
+def _run(params: ScenarioParams, gen: np.random.Generator, grid: np.ndarray):
     if params.defense is DefenseKind.NO_PATCHING:
         return _run_no_patch(params, gen, grid)
     return _run_patched(_patched_block(), params, gen, grid)
@@ -317,25 +327,19 @@ def simulate(params: ScenarioParams, config: StochasticConfig) -> Trajectory:
     """One exact stochastic run, sampled on the configured grid.
 
     Identical (params, config) always produce a bit-identical
-    trajectory; the run is driven by Philox key config.seed.
+    trajectory; the run is run 0 of _generators(config).
     """
     _check_exact_counts(params)
     grid = _grid(config)
-    (s, i, p), halt = _run(params, config.seed, grid)
+    (s, i, p), halt = _run(params, next(_generators(config)), grid)
     return Trajectory(
         t_itu=grid, s=s, i=i, p=p, params=params,
         source=TrajectorySource.STOCHASTIC_RUN, halt_itu=halt,
     )
 
 
-def _runs(params: ScenarioParams, config: StochasticConfig, grid: np.ndarray):
-    """Yield each run's (S, I, P rows on the grid, halt) in key order."""
-    for key in range(config.seed, config.seed + config.runs):
-        yield _run(params, key, grid)
-
-
 def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult:
-    """config.runs independent runs driven by keys seed, seed+1, ...
+    """config.runs independent runs, one per generator of _generators(config).
 
     Returns the per-grid-point mean trajectory and two-pass standard
     deviation (population convention), plus how many runs end with I = 0
@@ -347,8 +351,8 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
     _check_exact_counts(params)
     grid = _grid(config)
     runs = np.empty((config.runs, 3, len(grid)))
-    for k, (sip, _) in enumerate(_runs(params, config, grid)):
-        runs[k] = sip
+    for k, gen in enumerate(_generators(config)):
+        runs[k] = _run(params, gen, grid)[0]
     mean = runs.sum(axis=0) / config.runs  # adds the runs in key order
     std = runs.std(axis=0)
     mean_traj = Trajectory(
@@ -375,21 +379,13 @@ def _check_monitors(params: ScenarioParams, monitors: int) -> None:
         raise ValueError("monitors must satisfy 1 <= monitors <= n_hosts")
 
 
-def _hazard_at(times, jumps, i0, c):
-    """Cumulative monitor-hit hazard c * integral of I over [0, t].
-
-    I is piecewise constant, rising by 1 at each jump; the integral is
-    evaluated exactly at each requested time.
-    """
-    # Integral of I at each jump time.
-    levels = i0 + np.arange(len(jumps) + 1, dtype=float)  # I on each segment
-    seg_starts = np.concatenate(([0.0], jumps))
-    area_at_start = np.concatenate(
-        ([0.0], np.cumsum(levels[:-1] * np.diff(seg_starts)))
-    )
-    idx = np.searchsorted(jumps, times, side="right")
-    area = area_at_start[idx] + levels[idx] * (times - seg_starts[idx])
-    return c * area
+def _segments(jumps: np.ndarray, i0: int):
+    """Segments of I along a trimmed jump path: each one's start (0, then
+    each jump), the level of I on it, and the integral of I up to its start."""
+    starts = np.concatenate(([0.0], jumps))
+    levels = i0 + np.arange(len(starts), dtype=float)
+    areas = np.concatenate(([0.0], np.cumsum(levels[:-1] * np.diff(starts))))
+    return starts, levels, areas
 
 
 def detection_sim(
@@ -407,18 +403,14 @@ def detection_sim(
     c = monitors / params.n_hosts
     t_end = config.t_end_itu
     out = np.empty(config.runs)
-    for k in range(config.runs):
-        gen = _rng(config.seed + k)
+    for k, gen in enumerate(_generators(config)):
         jumps = _infection_jumps(params, gen, t_end)
         target = gen.standard_exponential()
         # Jumps at or past the horizon never enter the hazard before it.
-        jumps_in = jumps[: np.searchsorted(jumps, t_end, side="left")]
-        h_jumps = _hazard_at(jumps_in, jumps_in, params.i0, c)
-        j = int(np.searchsorted(h_jumps, target, side="right"))
-        seg_start = 0.0 if j == 0 else float(jumps_in[j - 1])
-        h_start = 0.0 if j == 0 else float(h_jumps[j - 1])
-        level = params.i0 + j
-        t_hit = seg_start + (target - h_start) / (c * level)
+        jumps = jumps[: np.searchsorted(jumps, t_end, side="left")]
+        starts, levels, areas = _segments(jumps, params.i0)
+        j = np.searchsorted(c * areas, target, side="right") - 1  # the hit's segment
+        t_hit = starts[j] + (target - c * areas[j]) / (c * levels[j])
         out[k] = t_hit if t_hit <= t_end else np.inf
     return out
 
@@ -436,11 +428,11 @@ def monitor_scan_counts(
     grid = _grid(config)
     c = monitors / params.n_hosts
     counts = np.zeros((config.runs, len(grid)), dtype=np.int64)
-    for k in range(config.runs):
-        gen = _rng(config.seed + k)
+    for k, gen in enumerate(_generators(config)):
         jumps = _infection_jumps(params, gen, grid[-1])
-        jumps_in = jumps[: np.searchsorted(jumps, grid[-1], side="right")]
-        hazard = _hazard_at(grid, jumps_in, params.i0, c)
-        hits = gen.poisson(np.diff(hazard))
-        counts[k, 1:] = np.cumsum(hits)
+        jumps = jumps[: np.searchsorted(jumps, grid[-1], side="right")]
+        starts, levels, areas = _segments(jumps, params.i0)
+        seg = np.searchsorted(jumps, grid, side="right")
+        hazard = c * (areas[seg] + levels[seg] * (grid - starts[seg]))
+        counts[k, 1:] = np.cumsum(gen.poisson(np.diff(hazard)))
     return grid, counts

@@ -1,10 +1,13 @@
 """Command-line interface: verbs, config schema, artifacts, exit codes."""
 
+import copy
 import csv
 import importlib.util
 import json
 import os
+import random
 import reprlib
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -488,8 +491,10 @@ def test_monitor_faults_are_config_errors(overrides, message, tmp_path, capsys):
      "--set", "params.n_hosts=10000000000000", "--set", "stochastic.runs=1"],
     ["--config", "codered-p2p-g2-desk", "--engines", "stochastic",
      "--set", "params.n_hosts=1000000000"],
+    ["--config", "codered-p2p-g2", "--engines", "closed_form", "--set", "params.gamma=1e308"],
 ], ids=["integrate-samples", "stochastic-grid", "stochastic-runs", "closed-form-grid",
-        "deadline-scans-round-to-zero", "stochastic-holding-times", "stochastic-host-counts"])
+        "deadline-scans-round-to-zero", "stochastic-holding-times", "stochastic-host-counts",
+        "patch-rate-infinite"])
 def test_oversized_or_hopeless_requests_exit_2(argv, monkeypatch, tmp_path, capsys):
     # Refused before any engine runs, so nothing is allocated or written.
     monkeypatch.setattr(cli, "run_engine", lambda *_args: pytest.fail("an engine ran"))
@@ -948,6 +953,9 @@ CONFIG_ERRORS = [
                    _set("params", n_hosts=189812532)),
      "stochastic: a patched run counts hosts exactly only while n_hosts**2 <= 2**55, "
      "that is n_hosts <= 189812531 (got 189812532)"),
+    # a patch rate past the float range made the p2p peak-time prediction log(0)
+    ("patch-rate-infinite", _resolve_with(_fixed, _set("params", gamma=1e308)),
+     "params: gamma * p_bar must be finite"),
 ]
 
 
@@ -993,11 +1001,11 @@ def test_edge_configs_resolve(mutate, field, value):
 
 
 LONG_TEXT = "x" * 10_000
+SCHEMA_BLOCKS = [(None, cli._TOP), ("params", cli._PARAMS), ("integrator", cli._INTEGRATOR),
+                 ("stochastic", cli._STOCHASTIC), ("monitors", cli._MONITORS)]
 SCALAR_KEYS = [
     (block, key, kind)
-    for block, table in [(None, cli._TOP), ("params", cli._PARAMS),
-                         ("integrator", cli._INTEGRATOR), ("stochastic", cli._STOCHASTIC),
-                         ("monitors", cli._MONITORS)]
+    for block, table in SCHEMA_BLOCKS
     for key, (kind, _default) in table.items()
     if not isinstance(kind, list)
 ]
@@ -1020,3 +1028,97 @@ def test_wrong_type_fault_has_one_form(block, key, kind):
         resolve_scenario(config)
     assert str(info.value) == f"{where} must be {noun} (got {reprlib.repr(value)})"
     assert len(str(info.value)) < 200
+
+
+# --- seeded schema fuzz -------------------------------------------------
+
+# Values of the wrong kind for most keys, or at the edges of the float range.
+_FUZZ_ODD = [True, False, None, "", "text", "nan", "inf", "-inf", ".inf", "nan/hour",
+             [], [[0.5, "x"], [None]], {"k": 1}, 10**400, -(10**400), 1e308, -1e308,
+             1e-300, 0, -1, 0.0]
+# Values of each kind noun, some of them out of the key's range.
+_FUZZ_KIND = {
+    "an integer": [1, 2, 3, 10, 25, 300, 2000, 10**4, 2**32, 2**53 + 1],
+    "a string": ["1.8/hour", "1.5/minute", "2/second", "1e-3/day", "1e308/day", "4/fortnight"],
+    "a non-empty string": ["fz", "a b/c", "x" * 300],
+    "a finite number": [0.001, 0.005, 0.05, 0.5, 2.0, 12.0, 48.0, 1e3, -1.0],
+    "a positive number": [1e-9, 0.25, 2.42, 25, 1e6],
+    "a number in (0, 1)": [1e-12, 0.1, 0.5, 0.9, 0.999999],
+}
+# Work a fuzz case may run: closed-form points, RK4 steps, and per stochastic
+# run its hosts and grid points.
+_FUZZ_CAP = 10_000
+
+
+def _fuzz_value(rng, kind):
+    """A value for a key of the kind: mostly of that kind, else odd."""
+    if rng.random() < 0.3:
+        return copy.deepcopy(rng.choice(_FUZZ_ODD))
+    if isinstance(kind, list):
+        return [_fuzz_value(rng, kind[0]) for _ in range(rng.randint(0, 3))]
+    if isinstance(kind, tuple):
+        return rng.choice(kind)
+    if kind is None:  # a nested block, which later draws may fill
+        return {}
+    return rng.choice(_FUZZ_KIND[kind])
+
+
+def _fuzz_config(rng):
+    """A built-in, or a small config of any defense that runs every engine,
+    with one to four keys set, dropped or unknown."""
+    if rng.random() < 0.4:
+        config = load_config(rng.choice(builtin_names()))
+    else:
+        config = _nopatch_config(engines=list(cli.ENGINE_NAMES),
+                                 integrator={"t_end_itu": 12.0, "dt_itu": 0.01},
+                                 stochastic={"t_end_itu": 8.0, "runs": 2})
+        config["params"].update(n_hosts=1000, defense=rng.choice(cli._PARAMS["defense"][0]),
+                                gamma=2.0, p_bar=5)
+    for _ in range(rng.randint(1, 4)):
+        block, table = rng.choice(SCHEMA_BLOCKS)
+        node = config if block is None else config.get(block)
+        if not isinstance(node, dict):
+            node = config[block] = {}
+        key = "bogus" if rng.random() < 0.05 else rng.choice(list(table))
+        if rng.random() < 0.1:
+            node.pop(key, None)
+        else:
+            node[key] = _fuzz_value(rng, table.get(key, ("a string",))[0])
+    return config
+
+
+def _fuzz_work(scn):
+    form_dt, form_end = cli._closed_form_span(scn.params, scn.integrator)
+    runs = scn.stochastic
+    work = {"closed_form": form_end / form_dt,
+            "integrate": scn.integrator.t_end_itu / scn.integrator.dt_itu,
+            "stochastic": runs.runs * (scn.params.n_hosts + runs.t_end_itu / runs.sample_dt_itu)}
+    return sum(work[engine] for engine in scn.engines)
+
+
+def test_schema_fuzz_keeps_the_exit_contract(tmp_path, capsys):
+    # resolve_scenario raises only ConfigError, and every accepted config
+    # under the work cap ends main with 0-3; nothing over the cap runs.  The
+    # seed and case count are fixed: a failure is a bug, never a reason to reseed.
+    rng = random.Random(19)
+    path, out = tmp_path / "case.json", tmp_path / "out"
+    ran = 0
+    for case in range(1500):
+        config = _fuzz_config(rng)
+        try:
+            scn = resolve_scenario(copy.deepcopy(config))
+        except ConfigError:
+            continue
+        if _fuzz_work(scn) > _FUZZ_CAP:
+            continue
+        path.write_text(json.dumps(config))
+        verb = rng.choice([["run", "--out", str(out)], ["compare"]])
+        try:
+            code = main(verb + ["--config", str(path)])
+        except Exception as exc:
+            pytest.fail(f"case {case} raised {exc!r}: {json.dumps(config)}")
+        assert code in (0, 1, 2, 3), (case, config)
+        assert "Traceback" not in capsys.readouterr().err
+        shutil.rmtree(out, ignore_errors=True)
+        ran += 1
+    assert ran >= 100  # enough accepted configs fall under the cap

@@ -64,6 +64,7 @@ def test_validate_accepts_and_returns_params(codered_fixed):
         (dict(virulence="x"), "virulence"),
         (dict(virulence=None), "virulence"),
         (dict(gamma=[2.0]), "gamma"),
+        (dict(gamma=1e308), "gamma \\* p_bar must be finite"),
     ],
 )
 def test_validate_rejects_bad_params(codered_fixed, overrides, message):

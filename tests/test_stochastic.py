@@ -177,11 +177,13 @@ def test_ensemble_mean_is_run_average():
 def test_ensemble_spread_holds_at_large_counts(monkeypatch, offset):
     # 50 runs at one count, one of them a host higher: the population std
     # is sqrt(0.02 * 0.98) = 0.14 however large the count.
-    def runs(params, config, grid):
-        for k in range(config.runs):
-            yield np.full((3, len(grid)), offset + (k == 0)), None
+    calls = []
 
-    monkeypatch.setattr(stochastic, "_runs", runs)
+    def run(params, gen, grid):
+        calls.append(gen)
+        return np.full((3, len(grid)), offset + (len(calls) == 1)), None
+
+    monkeypatch.setattr(stochastic, "_run", run)
     params = ScenarioParams(
         n_hosts=10**9, virulence=1.0, i0=1, defense=DefenseKind.NO_PATCHING
     )
@@ -313,6 +315,72 @@ def test_scan_counts_match_expected_cumulative():
         k = int(round(t_check / 0.05))
         expected = expected_scans(grid[k], params, 100)
         assert abs(mean_counts[k] - expected) / expected < 0.10
+
+
+# --- run keys -----------------------------------------------------------
+
+
+_SAMPLERS = {
+    "simulate": simulate,
+    "ensemble": ensemble,
+    "detection_sim": lambda params, cfg: detection_sim(params, 30, cfg),
+    "monitor_scan_counts": lambda params, cfg: monitor_scan_counts(params, 30, cfg)[1],
+}
+
+
+def _record_generators(monkeypatch, reorder=list):
+    """Swap _generators for a recorder.  Returns the generators the runs take
+    from it, in the order taken, and the keys of every _rng call made
+    outside it; reorder sets the order in which it hands them out."""
+    real_generators, real_rng = stochastic._generators, stochastic._rng
+    taken, outside, inside = [], [], []
+
+    def rng(key):
+        if not inside:
+            outside.append(key)
+        return real_rng(key)
+
+    def generators(config):
+        inside.append(config)
+        gens = reorder(real_generators(config))
+        inside.pop()
+        for gen in gens:
+            taken.append(gen)
+            yield gen
+
+    monkeypatch.setattr(stochastic, "_rng", rng)
+    monkeypatch.setattr(stochastic, "_generators", generators)
+    return taken, outside
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [(name, _undefended(300)) for name in _SAMPLERS]
+    + [(name, params) for name in ("simulate", "ensemble") for params in _SMALL_PATCHED],
+    ids=[f"{name}-undefended" for name in _SAMPLERS]
+    + [f"{name}-{kind}" for name in ("simulate", "ensemble") for kind in ("fixed", "p2p")],
+)
+def test_runs_take_generators_from_one_key_rule(monkeypatch, name, params):
+    # simulate takes the first generator of _generators, every other sampler
+    # takes config.runs of them in order, and no other code calls _rng.
+    config = StochasticConfig(t_end_itu=3.0, seed=5, runs=4)
+    want = _SAMPLERS[name](params, config)
+    given, real_run = [], stochastic._run
+    monkeypatch.setattr(
+        stochastic, "_run", lambda params, gen, grid: given.append(gen) or real_run(params, gen, grid)
+    )
+    with monkeypatch.context() as m:
+        taken, outside = _record_generators(m)
+        _SAMPLERS[name](params, config)
+    assert len(taken) == (1 if name == "simulate" else config.runs)
+    assert outside == []
+    if name in ("simulate", "ensemble"):
+        assert list(map(id, given)) == list(map(id, taken))  # run k takes generator k
+    else:  # handed out in reverse, the runs come out in reverse
+        with monkeypatch.context() as m:
+            taken, outside = _record_generators(m, reorder=lambda gens: list(gens)[::-1])
+            assert np.array_equal(_SAMPLERS[name](params, config), want[::-1])
+        assert len(taken) == config.runs and outside == []
 
 
 # --- reference implementations ------------------------------------------
@@ -600,10 +668,16 @@ def test_edited_source_never_loads_stale_library(tmp_path):
     first = stochastic._build(str(source))
     assert first is not None and os.path.dirname(first) == str(tmp_path)
     source.write_text(text + "#error edited\n")
-    assert stochastic._build(str(source)) is None  # not the earlier build
+    assert stochastic._build(str(source)) is None  # not the earlier build, nor removes it
+    assert sorted(os.listdir(tmp_path)) == sorted([source.name, os.path.basename(first)])
+    in_flight = tmp_path / f"{os.path.basename(first)}.k3x9q.tmp"  # another build's temporary
+    in_flight.write_bytes(b"")
     source.write_text(text + "/* edited */\n")
     second = stochastic._build(str(source))
     assert second not in (None, first) and os.path.exists(second)
+    # The new library replaces the stale one, and leaves the temporary alone.
+    names = [source.name, in_flight.name, os.path.basename(second)]
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
     assert stochastic._build(str(source)) == second  # an unchanged source reuses it
 
 
@@ -639,6 +713,15 @@ def _ref_run_no_patch(params, gen, grid):
     return params.n_hosts - i, i, np.zeros_like(i), halt
 
 
+def _ref_hazard(times, jumps, i0, c):
+    """c * integral of I over [0, t] at each time t, along the full jump path."""
+    levels = i0 + np.arange(len(jumps) + 1, dtype=float)  # I before, then after each jump
+    starts = np.concatenate(([0.0], jumps))
+    area_at_start = np.concatenate(([0.0], np.cumsum(levels[:-1] * np.diff(starts))))
+    idx = np.searchsorted(jumps, times, side="right")
+    return c * (area_at_start[idx] + levels[idx] * (times - starts[idx]))
+
+
 def _ref_first_hits(params, monitors, config):
     c = monitors / params.n_hosts
     t_end = config.t_end_itu
@@ -648,7 +731,7 @@ def _ref_first_hits(params, monitors, config):
         jumps = _ref_infection_jumps(params, gen)
         target = gen.exponential(1.0)
         jumps_in = jumps[jumps < t_end]
-        h_jumps = stochastic._hazard_at(jumps_in, jumps, params.i0, c)
+        h_jumps = _ref_hazard(jumps_in, jumps, params.i0, c)
         j = int(np.searchsorted(h_jumps, target, side="right"))
         seg_start = 0.0 if j == 0 else float(jumps_in[j - 1])
         h_start = 0.0 if j == 0 else float(h_jumps[j - 1])
@@ -664,7 +747,7 @@ def _ref_scan_counts(params, monitors, config):
     for k in range(config.runs):
         gen = stochastic._rng(config.seed + k)
         jumps = _ref_infection_jumps(params, gen)
-        hazard = stochastic._hazard_at(grid, jumps, params.i0, c)
+        hazard = _ref_hazard(grid, jumps, params.i0, c)
         counts[k, 1:] = np.cumsum(gen.poisson(np.diff(hazard)))
     return grid, counts
 
@@ -672,12 +755,13 @@ def _ref_scan_counts(params, monitors, config):
 @pytest.mark.parametrize("monitors,t_end", [(1086, 2.22), (30, 9.0), (5000, 40.0)])
 def test_telescope_prefix_matches_full_jump_hazard(monkeypatch, monitors, t_end):
     # Both samplers must reproduce the full-path references exactly, and
-    # every jump prefix and hazard they use must agree with the full path.
+    # every jump prefix and segment table they use must be the start of
+    # the full path's.
     params = _undefended(10000)
     cfg = StochasticConfig(t_end_itu=t_end, seed=11, runs=40)
     want_hits = _ref_first_hits(params, monitors, cfg)
     want_grid, want_counts = _ref_scan_counts(params, monitors, cfg)
-    infection_jumps, hazard_at = stochastic._infection_jumps, stochastic._hazard_at
+    infection_jumps, segments = stochastic._infection_jumps, stochastic._segments
     full = []
 
     def checked_jumps(params, gen, horizon):
@@ -687,13 +771,15 @@ def test_telescope_prefix_matches_full_jump_hazard(monkeypatch, monitors, t_end)
         assert got[-1] > horizon or len(got) == len(full[-1])
         return got
 
-    def checked_hazard(times, jumps, i0, c):
-        got = hazard_at(times, jumps, i0, c)
-        assert np.array_equal(got, hazard_at(times, full[-1], i0, c))
+    def checked_segments(jumps, i0):
+        got = segments(jumps, i0)
+        for part, whole in zip(got, segments(full[-1], i0)):
+            assert len(part) == len(jumps) + 1
+            assert np.array_equal(part, whole[: len(part)])
         return got
 
     monkeypatch.setattr(stochastic, "_infection_jumps", checked_jumps)
-    monkeypatch.setattr(stochastic, "_hazard_at", checked_hazard)
+    monkeypatch.setattr(stochastic, "_segments", checked_segments)
     assert np.array_equal(detection_sim(params, monitors, cfg), want_hits)
     grid, counts = monitor_scan_counts(params, monitors, cfg)
     assert np.array_equal(grid, want_grid)
