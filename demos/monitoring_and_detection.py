@@ -49,14 +49,14 @@ def main():
     for m in (1000, thumb, 20000):
         print(f"{m:9,} {expected_scans(deadline, slammer, m):8.3f}")
 
-    plan = monitors_for_detection(slammer, deadline)
+    monitors = monitors_for_detection(slammer, deadline)
     print(
         f"\nSmallest telescope with E[hits] >= 1 by the deadline:"
-        f" {plan.monitors:,} monitors"
-        f" (E[hits] = {plan.expected_scans_at_deadline:.3f})."
+        f" {monitors:,} monitors"
+        f" (E[hits] = {expected_scans(deadline, slammer, monitors):.3f})."
     )
     print(
-        f"That is {plan.monitors / thumb:.2f}x the N/ln N thumb value of"
+        f"That is {monitors / thumb:.2f}x the N/ln N thumb value of"
         f" {thumb:,}: the back-of-envelope rule sits within 25% of the"
         " exact sizing."
     )

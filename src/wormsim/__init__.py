@@ -12,7 +12,6 @@ dividing by the virulence.
 
 from .core import (
     DefenseKind,
-    PopulationState,
     ScenarioError,
     ScenarioParams,
     TimeValue,
@@ -22,11 +21,9 @@ from .core import (
     conservation_tolerance,
     initial_state,
     itu_to_wallclock,
-    validate,
     validate_trajectory,
 )
 from .fluid import (
-    Derivative,
     closed_form_fixed,
     closed_form_no_patch,
     closed_form_p2p,
@@ -50,7 +47,6 @@ from .metrics import (
     trajectory_spread_time,
 )
 from .monitoring import (
-    MonitorPlan,
     expected_scans,
     monitors_for_detection,
     thumb_rule_monitors,
@@ -70,11 +66,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTIN_SCENARIOS",
     "DefenseKind",
-    "Derivative",
     "EnsembleResult",
     "IntegratorConfig",
-    "MonitorPlan",
-    "PopulationState",
     "ScenarioError",
     "ScenarioParams",
     "StochasticConfig",
@@ -113,6 +106,5 @@ __all__ = [
     "trajectory_extinction",
     "trajectory_peak",
     "trajectory_spread_time",
-    "validate",
     "validate_trajectory",
 ]

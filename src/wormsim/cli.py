@@ -291,10 +291,10 @@ def _monitoring_json(params: ScenarioParams, time_unit: str, deadline, count) ->
         }
     }
     if deadline is not None:
-        plan = monitors_for_detection(params, deadline)
+        required = monitors_for_detection(params, deadline)
         block.update(deadline=_time_json(params, time_unit, deadline),
-                     required_monitors=plan.monitors,
-                     expected_scans_with_required=plan.expected_scans_at_deadline)
+                     required_monitors=required,
+                     expected_scans_with_required=expected_scans(deadline, params, required))
     if count is not None:
         block["count"] = count
         if deadline is not None:

@@ -59,7 +59,8 @@ class ScenarioParams:
         p_bar: initially patched hosts; for FIXED_SERVERS also the
             number of patch servers, which caps the patching workforce.
 
-    Building one (``dataclasses.replace`` too) runs ``validate``.
+    Building one (``dataclasses.replace`` too) checks the invariants and
+    raises ScenarioError naming the first one violated.
     """
 
     n_hosts: int
@@ -70,7 +71,21 @@ class ScenarioParams:
     p_bar: int = 0
 
     def __post_init__(self):
-        validate(self)
+        if not _is_count(self.n_hosts) or self.n_hosts <= 0:
+            raise ScenarioError("n_hosts must be a positive integer")
+        if not _is_positive(self.virulence):
+            raise ScenarioError("virulence must be positive")
+        if not _is_positive(self.gamma):
+            raise ScenarioError("gamma must be positive")
+        if not _is_count(self.i0) or self.i0 < 1:
+            raise ScenarioError("i0 must be an integer >= 1")
+        patched = self.defense is not DefenseKind.NO_PATCHING
+        if patched and (not _is_count(self.p_bar) or self.p_bar < 1):
+            raise ScenarioError("p_bar must be an integer >= 1 when patching is enabled")
+        if patched and not self.gamma * self.p_bar < np.inf:  # the first patch rate
+            raise ScenarioError("gamma * p_bar must be finite")
+        if self.i0 + (self.p_bar if patched else 0) >= self.n_hosts:
+            raise ScenarioError("i0 + p_bar >= n_hosts")
 
 
 def _is_count(value) -> bool:
@@ -83,45 +98,10 @@ def _is_positive(value) -> bool:
     return real and 0.0 < value < np.inf
 
 
-def validate(params: ScenarioParams) -> ScenarioParams:
-    """Check scenario invariants, returning the params unchanged.
-
-    Raises ScenarioError naming the first violated invariant.
-    """
-    if not _is_count(params.n_hosts) or params.n_hosts <= 0:
-        raise ScenarioError("n_hosts must be a positive integer")
-    if not _is_positive(params.virulence):
-        raise ScenarioError("virulence must be positive")
-    if not _is_positive(params.gamma):
-        raise ScenarioError("gamma must be positive")
-    if not _is_count(params.i0) or params.i0 < 1:
-        raise ScenarioError("i0 must be an integer >= 1")
-    patched = params.defense is not DefenseKind.NO_PATCHING
-    if patched and (not _is_count(params.p_bar) or params.p_bar < 1):
-        raise ScenarioError("p_bar must be an integer >= 1 when patching is enabled")
-    if patched and not params.gamma * params.p_bar < np.inf:  # the first patch rate
-        raise ScenarioError("gamma * p_bar must be finite")
-    p0 = params.p_bar if patched else 0
-    if params.i0 + p0 >= params.n_hosts:
-        raise ScenarioError("i0 + p_bar >= n_hosts")
-    return params
-
-
-@dataclass(frozen=True)
-class PopulationState:
-    """One (S, I, P) host-count triple."""
-
-    s: float
-    i: float
-    p: float
-
-
-def initial_state(params: ScenarioParams) -> PopulationState:
-    """Effective state at t = 0: (N - I0 - P0, I0, P0), P0 = 0 unpatched."""
+def initial_state(params: ScenarioParams) -> tuple[float, float, float]:
+    """Host counts (S, I, P) at t = 0: (N - I0 - P0, I0, P0), P0 = 0 unpatched."""
     p0 = float(params.p_bar) if params.defense is not DefenseKind.NO_PATCHING else 0.0
-    return PopulationState(
-        s=float(params.n_hosts) - params.i0 - p0, i=float(params.i0), p=p0
-    )
+    return float(params.n_hosts) - params.i0 - p0, float(params.i0), p0
 
 
 def itu_to_wallclock(t_itu: float, params: ScenarioParams) -> float:
@@ -160,9 +140,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t_itu)
-
-    def state_at(self, k: int) -> PopulationState:
-        return PopulationState(s=float(self.s[k]), i=float(self.i[k]), p=float(self.p[k]))
 
     def t_wallclock(self) -> np.ndarray:
         return itu_to_wallclock(self.t_itu, self.params)

@@ -22,40 +22,25 @@ peer-to-peer patch sigmoid), implemented here in overflow-safe form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    DefenseKind,
-    PopulationState,
-    ScenarioParams,
-    Trajectory,
-    TrajectorySource,
-)
-
-
-@dataclass(frozen=True)
-class Derivative:
-    """Instantaneous flow rates (dS/dt, dI/dt, dP/dt) in hosts per ITU."""
-
-    ds_dt: float
-    di_dt: float
-    dp_dt: float
+from .core import DefenseKind, ScenarioParams, Trajectory, TrajectorySource
 
 
 # ---------------------------------------------------------------------------
 # Right-hand side
 # ---------------------------------------------------------------------------
 
-def rhs(state: PopulationState, params: ScenarioParams) -> Derivative:
+def rhs(state: tuple[float, float, float], params: ScenarioParams) -> tuple[float, float, float]:
     """Model right-hand side for the scenario's defense.
 
-    Raises ValueError for fixed servers at S + I = 0: the per-host patch
-    rate divides by the unpatched pool, so the derivative is undefined
-    there (the RK4 kernel, which inlines this body, rests in that state).
+    Maps host counts (S, I, P) to their rates (dS/dt, dI/dt, dP/dt) in
+    hosts per ITU.  Raises ValueError for fixed servers at S + I = 0:
+    the per-host patch rate divides by the unpatched pool, so the
+    derivative is undefined there (the RK4 kernel, which inlines this
+    body, rests in that state).
     """
-    s, i, p = state.s, state.i, state.p
+    s, i, p = state
     n = float(params.n_hosts)
     infect = s * i / n
     if params.defense is DefenseKind.FIXED_SERVERS:
@@ -65,11 +50,10 @@ def rhs(state: PopulationState, params: ScenarioParams) -> Derivative:
         # Workforce saturates when fewer targets than servers remain.
         p_bar = float(params.p_bar)
         total = params.gamma * (p_bar if unpatched >= p_bar else unpatched)
-        return Derivative(-infect - total * s / unpatched,
-                          infect - total * i / unpatched, total)
+        return -infect - total * s / unpatched, infect - total * i / unpatched, total
     g_n = params.gamma / n if params.defense is DefenseKind.PEER_TO_PEER else 0.0
     rate = g_n * p
-    return Derivative(-infect - rate * s, infect - rate * i, rate * (s + i))
+    return -infect - rate * s, infect - rate * i, rate * (s + i)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,6 @@ def integrate(params: ScenarioParams, config: IntegratorConfig) -> Trajectory:
     finite (cannot happen for in-contract scenarios, but the guard
     keeps misuse loud rather than silent).
     """
-    state = initial_state(params)
     n_steps = max(1, int(math.ceil(config.t_end_itu / config.dt_itu - 1e-9)))
     out = np.empty((4, n_steps // config.sample_stride + 3))  # rows t, S, I, P
     n = float(params.n_hosts)
@@ -184,7 +183,7 @@ def integrate(params: ScenarioParams, config: IntegratorConfig) -> Trajectory:
     count, status, last_step = _rk4_kernel(
         params.defense is DefenseKind.FIXED_SERVERS, g_n,
         n, params.gamma, float(params.p_bar),
-        state.s, state.i, state.p,
+        *initial_state(params),
         config.dt_itu, n_steps, config.sample_stride, *out,
     )
     if status == _DIVERGED:

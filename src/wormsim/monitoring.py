@@ -17,20 +17,10 @@ sizes N/ln N and N/ln ln N respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import DefenseKind, ScenarioParams, _is_count, _is_positive
-
-
-@dataclass(frozen=True)
-class MonitorPlan:
-    """A telescope size and the scans it expects by its deadline."""
-
-    monitors: int
-    expected_scans_at_deadline: float
 
 
 def expected_scans(t, params: ScenarioParams, monitors: int):
@@ -55,12 +45,14 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
     return float(out) if out.ndim == 0 else out
 
 
-def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> MonitorPlan:
+def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> int:
     """Smallest telescope whose expected hit count reaches 1 by the deadline.
 
-    Raises ValueError if even monitoring every host cannot get there
-    (deadline too early for the worm to have scanned enough, or so early
-    that the expected scans round to 0, which no telescope size reaches).
+    Returns the number of monitored hosts; expected_scans at the deadline
+    with that many monitors gives the hit count it expects.  Raises
+    ValueError if even monitoring every host cannot get there (deadline
+    too early for the worm to have scanned enough, or so early that the
+    expected scans round to 0, which no telescope size reaches).
     """
     if not _is_positive(deadline_itu):
         raise ValueError("deadline_itu must be positive")
@@ -72,7 +64,7 @@ def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> Monit
             f"deadline {deadline_itu:g} ITU needs {monitors} monitors, "
             f"more than the population of {params.n_hosts}"
         )
-    return MonitorPlan(monitors=monitors, expected_scans_at_deadline=monitors * per_monitor)
+    return monitors
 
 
 def thumb_rule_monitors(n_hosts: int, regime: DefenseKind) -> int:

@@ -64,6 +64,7 @@ from .core import (
     TrajectorySource,
     _is_count,
     _is_positive,
+    initial_state,
 )
 
 
@@ -303,8 +304,7 @@ def _run_patched(block, params: ScenarioParams, gen, grid):
     g = params.gamma
     pb = float(params.p_bar)
     par = np.array([n, g, pb, g / n, g * pb])
-    i = float(params.i0)
-    st = np.array([n - i - pb, i, pb, 0.0, 0.0])  # s, i, p, t, halt
+    st = np.array([*initial_state(params), 0.0, 0.0])  # s, i, p, t, halt
     is_fixed = params.defense is DefenseKind.FIXED_SERVERS
     n_pts = len(grid)
     out_s, out_i, out_p = sip = np.empty((3, n_pts))
@@ -343,18 +343,23 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
 
     Returns the per-grid-point mean trajectory and two-pass standard
     deviation (population convention), plus how many runs end with I = 0
-    at the last grid point.  The runs are held at once: runs * 3 *
-    len(grid) floats, 1.15 MB for 50 runs of 961 points.  The runs go
-    in key order in this process, so results depend only on (params,
-    config), and never on which block ran.
+    at the last grid point.  The runs are held at once, in one array of
+    runs * 3 * len(grid) floats (1.15 MB for 50 runs of 961 points) that
+    the deviation is then computed in.  The runs go in key order in this
+    process, so results depend only on (params, config), and never on
+    which block ran.
     """
     _check_exact_counts(params)
     grid = _grid(config)
     runs = np.empty((config.runs, 3, len(grid)))
     for k, gen in enumerate(_generators(config)):
         runs[k] = _run(params, gen, grid)[0]
+    extinct = int(np.count_nonzero(runs[:, 1, -1] == 0.0))
     mean = runs.sum(axis=0) / config.runs  # adds the runs in key order
-    std = runs.std(axis=0)
+    # runs.std(axis=0) bit for bit, without its copy of runs.
+    runs -= mean
+    runs *= runs
+    std = np.sqrt(runs.sum(axis=0) / config.runs)
     mean_traj = Trajectory(
         t_itu=grid, s=mean[0], i=mean[1], p=mean[2], params=params,
         source=TrajectorySource.ENSEMBLE_MEAN,
@@ -362,7 +367,7 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
     return EnsembleResult(
         mean=mean_traj,
         s_std=std[0], i_std=std[1], p_std=std[2],
-        extinct_before_end=int(np.count_nonzero(runs[:, 1, -1] == 0.0)),
+        extinct_before_end=extinct,
     )
 
 

@@ -210,19 +210,19 @@ def test_monitor_sizing_rules():
     """Telescope thumb rules and the exact sizing agree at both scales."""
     thumb_slammer = thumb_rule_monitors(85000, DefenseKind.FIXED_SERVERS)
     thumb_ipv4 = thumb_rule_monitors(2**32, DefenseKind.FIXED_SERVERS)
-    plan = monitors_for_detection(SLAMMER, 2.42)
+    monitors = monitors_for_detection(SLAMMER, 2.42)
     checks = [
         thumb_slammer == math.ceil(85000 / math.log(85000)) == 7489,
         _rel(thumb_ipv4, 1.94e8) <= 0.01,
-        plan.monitors / thumb_slammer <= 1.25,
+        monitors / thumb_slammer <= 1.25,
     ]
     _verdict(
         8,
         "telescope sizing rules",
         all(checks),
         f"thumb {thumb_slammer} (=ceil(N/lnN)), 2^32 thumb {thumb_ipv4} "
-        f"(1.94e8 +-1%), exact sizing {plan.monitors} "
-        f"({plan.monitors / thumb_slammer:.3f}x thumb, <=1.25x)",
+        f"(1.94e8 +-1%), exact sizing {monitors} "
+        f"({monitors / thumb_slammer:.3f}x thumb, <=1.25x)",
     )
 
 

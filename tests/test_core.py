@@ -11,7 +11,6 @@ import wormsim
 from wormsim import fluid
 from wormsim.core import (
     DefenseKind,
-    PopulationState,
     ScenarioError,
     ScenarioParams,
     TimeValue,
@@ -21,7 +20,6 @@ from wormsim.core import (
     conservation_tolerance,
     initial_state,
     itu_to_wallclock,
-    validate,
     validate_trajectory,
 )
 from wormsim.integrate import IntegratorConfig
@@ -45,7 +43,8 @@ def test_params_defaults_and_immutability():
 
 
 def test_validate_accepts_and_returns_params(codered_fixed):
-    assert validate(codered_fixed) is codered_fixed
+    # Validation is construction: valid fields build, and are kept as given.
+    assert ScenarioParams(**dataclasses.asdict(codered_fixed)) == codered_fixed
 
 
 @pytest.mark.parametrize(
@@ -69,11 +68,12 @@ def test_validate_accepts_and_returns_params(codered_fixed):
 )
 def test_validate_rejects_bad_params(codered_fixed, overrides, message):
     with pytest.raises(ScenarioError, match=message):
-        validate(dataclasses.replace(codered_fixed, **overrides))
+        dataclasses.replace(codered_fixed, **overrides)
 
 
 def test_validate_allows_unpatched_without_p_bar(codered_nopatch):
-    assert validate(codered_nopatch) is codered_nopatch
+    assert codered_nopatch.p_bar == 0
+    assert dataclasses.replace(codered_nopatch) == codered_nopatch
 
 
 def test_params_and_configs_check_themselves_when_built(codered_fixed):
@@ -84,7 +84,7 @@ def test_params_and_configs_check_themselves_when_built(codered_fixed):
         (dict(n_hosts=100, virulence=-1.0, defense=DefenseKind.NO_PATCHING),
          "virulence", lambda params: itu_to_wallclock(2.0, params)),
         (dict(n_hosts=-5, gamma=-2.0, defense=DefenseKind.NO_PATCHING),
-         "n_hosts", lambda params: fluid.rhs(PopulationState(1.0, 1.0, 0.0), params)),
+         "n_hosts", lambda params: fluid.rhs((1.0, 1.0, 0.0), params)),
     ]
     for fields, message, call in probes:
         with pytest.raises(ScenarioError, match=message):
@@ -102,10 +102,8 @@ def test_params_and_configs_check_themselves_when_built(codered_fixed):
 
 
 def test_initial_state_counts(codered_fixed, codered_nopatch):
-    st = initial_state(codered_fixed)
-    assert (st.s, st.i, st.p) == (359950.0, 25.0, 25.0)
-    st = initial_state(codered_nopatch)
-    assert (st.s, st.i, st.p) == (359975.0, 25.0, 0.0)
+    assert initial_state(codered_fixed) == (359950.0, 25.0, 25.0)
+    assert initial_state(codered_nopatch) == (359975.0, 25.0, 0.0)
 
 
 def test_itu_to_wallclock_divides_by_virulence(codered_fixed):
@@ -130,8 +128,6 @@ def test_trajectory_accessors():
     )
     traj = _toy_trajectory(params)
     assert len(traj) == 3
-    st = traj.state_at(1)
-    assert (st.s, st.i, st.p) == (949.0, 50.0, 1.0)
     np.testing.assert_allclose(traj.t_wallclock(), traj.t_itu / 2.0)
     assert traj.halt_itu is None
 

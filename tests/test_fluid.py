@@ -10,7 +10,6 @@ import pytest
 from wormsim import fluid
 from wormsim.core import (
     DefenseKind,
-    PopulationState,
     ScenarioParams,
     TrajectorySource,
     validate_trajectory,
@@ -24,10 +23,10 @@ def test_rhs_no_patch_rates():
     params = ScenarioParams(
         n_hosts=1000, virulence=1.0, i0=1, defense=DefenseKind.NO_PATCHING
     )
-    d = fluid.rhs(PopulationState(s=900.0, i=100.0, p=0.0), params)
-    assert d.di_dt == pytest.approx(900 * 100 / 1000)
-    assert d.ds_dt == pytest.approx(-900 * 100 / 1000)
-    assert d.dp_dt == 0.0
+    ds, di, dp = fluid.rhs((900.0, 100.0, 0.0), params)
+    assert di == pytest.approx(900 * 100 / 1000)
+    assert ds == pytest.approx(-900 * 100 / 1000)
+    assert dp == 0.0
 
 
 def test_rhs_fixed_servers_rates():
@@ -35,10 +34,9 @@ def test_rhs_fixed_servers_rates():
         n_hosts=1000, virulence=1.0, i0=1,
         defense=DefenseKind.FIXED_SERVERS, gamma=2.0, p_bar=10,
     )
-    st = PopulationState(s=800.0, i=100.0, p=100.0)
-    d = fluid.rhs(st, params)
-    assert d.di_dt == pytest.approx(800 * 100 / 1000 - 2 * 10 * 100 / 900)
-    assert d.ds_dt + d.di_dt + d.dp_dt == pytest.approx(0.0, abs=1e-12)
+    ds, di, dp = fluid.rhs((800.0, 100.0, 100.0), params)
+    assert di == pytest.approx(800 * 100 / 1000 - 2 * 10 * 100 / 900)
+    assert ds + di + dp == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rhs_fixed_servers_finishing_phase():
@@ -47,10 +45,10 @@ def test_rhs_fixed_servers_finishing_phase():
         n_hosts=1000, virulence=1.0, i0=1,
         defense=DefenseKind.FIXED_SERVERS, gamma=2.0, p_bar=10,
     )
-    d = fluid.rhs(PopulationState(s=3.0, i=2.0, p=995.0), params)
-    assert d.ds_dt == pytest.approx(-3 * 2 / 1000 - 2.0 * 5 * (3 / 5))
-    assert d.di_dt == pytest.approx(3 * 2 / 1000 - 2.0 * 5 * (2 / 5))
-    assert d.dp_dt == pytest.approx(2.0 * 5)
+    ds, di, dp = fluid.rhs((3.0, 2.0, 995.0), params)
+    assert ds == pytest.approx(-3 * 2 / 1000 - 2.0 * 5 * (3 / 5))
+    assert di == pytest.approx(3 * 2 / 1000 - 2.0 * 5 * (2 / 5))
+    assert dp == pytest.approx(2.0 * 5)
 
 
 def test_rhs_fixed_servers_empty_pool_raises():
@@ -59,7 +57,7 @@ def test_rhs_fixed_servers_empty_pool_raises():
         defense=DefenseKind.FIXED_SERVERS, gamma=2.0, p_bar=10,
     )
     with pytest.raises(ValueError, match="s \\+ i = 0"):
-        fluid.rhs(PopulationState(s=0.0, i=0.0, p=1000.0), params)
+        fluid.rhs((0.0, 0.0, 1000.0), params)
 
 
 def test_rhs_p2p_rates():
@@ -67,11 +65,10 @@ def test_rhs_p2p_rates():
         n_hosts=1000, virulence=1.0, i0=1,
         defense=DefenseKind.PEER_TO_PEER, gamma=2.0, p_bar=10,
     )
-    st = PopulationState(s=800.0, i=100.0, p=100.0)
-    d = fluid.rhs(st, params)
-    assert d.di_dt == pytest.approx(80 - 2 / 1000 * 100 * 100)
-    assert d.dp_dt == pytest.approx(2 / 1000 * 900 * 100)
-    assert d.ds_dt + d.di_dt + d.dp_dt == pytest.approx(0.0, abs=1e-12)
+    ds, di, dp = fluid.rhs((800.0, 100.0, 100.0), params)
+    assert di == pytest.approx(80 - 2 / 1000 * 100 * 100)
+    assert dp == pytest.approx(2 / 1000 * 900 * 100)
+    assert ds + di + dp == pytest.approx(0.0, abs=1e-12)
 
 
 # --- no-patch closed form -----------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wormsim.core import DefenseKind, ScenarioError, ScenarioParams
+from wormsim.core import DefenseKind, ScenarioError
 from wormsim.monitoring import (
     expected_scans,
     monitors_for_detection,
@@ -39,11 +39,11 @@ def test_expected_scans_vectorized(slammer):
 
 
 def test_monitors_for_detection_slammer_deadline(slammer):
-    plan = monitors_for_detection(slammer, 2.42)
-    assert plan.monitors == 8297
-    assert plan.expected_scans_at_deadline >= 1.0
+    monitors = monitors_for_detection(slammer, 2.42)
+    assert monitors == 8297
+    assert expected_scans(2.42, slammer, monitors) >= 1.0
     # minimality: one monitor fewer no longer reaches an expected scan
-    assert expected_scans(2.42, slammer, plan.monitors - 1) < 1.0
+    assert expected_scans(2.42, slammer, monitors - 1) < 1.0
 
 
 def test_sizing_at_a_deadline_whose_scans_round_to_zero(slammer):
@@ -122,9 +122,9 @@ def test_thumb_rule_rejects_non_integer_population(n_hosts):
 def test_sizing_consistent_with_thumb_rule(slammer):
     # the exact sizing for the fixed-servers reaction window lands within
     # a small factor of the ceil(N / ln N) rule of thumb
-    plan = monitors_for_detection(slammer, 2.42)
+    monitors = monitors_for_detection(slammer, 2.42)
     thumb = thumb_rule_monitors(85000, DefenseKind.FIXED_SERVERS)
-    assert plan.monitors / thumb < 1.25
+    assert monitors / thumb < 1.25
 
 
 def test_empirical_detection_median_beats_p2p_deadline(slammer):

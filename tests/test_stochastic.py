@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,13 +215,30 @@ def _same_ensemble(a, b):
 
 @pytest.mark.parametrize("params", _SMALL_PATCHED, ids=["fixed", "p2p"])
 def test_ensemble_mean_is_key_ordered_sum_of_runs(params):
-    # Five runs, an odd count: the mean adds run k = seed + k in key order.
+    # Five runs, an odd count: the mean adds run k = seed + k in key order,
+    # and the spread is np.std over the same runs, bit for bit.
     res = ensemble(params, StochasticConfig(t_end_itu=20.0, seed=21, runs=5))
-    stack = np.stack(
-        [simulate(params, StochasticConfig(t_end_itu=20.0, seed=21 + k)).i
-         for k in range(5)]
-    )
-    assert np.array_equal(res.mean.i, stack.sum(axis=0) / 5.0)
+    runs = [simulate(params, StochasticConfig(t_end_itu=20.0, seed=21 + k)) for k in range(5)]
+    stack = np.stack([(run.s, run.i, run.p) for run in runs])
+    assert np.array_equal(res.mean.i, stack[:, 1].sum(axis=0) / 5.0)
+    for got, want in zip((res.s_std, res.i_std, res.p_std), np.std(stack, axis=0)):
+        assert np.array_equal(got, want)
+
+
+def test_ensemble_holds_no_second_runs_array(desk_fixed):
+    # The spread is taken in the runs array's own buffer; np.std's copy of
+    # it would take the peak past twice its size.  A fine grid makes the
+    # runs array dominate each run's own draws.
+    config = StochasticConfig(t_end_itu=48.0, seed=0, runs=50, sample_dt_itu=0.01)
+    runs_bytes = config.runs * 3 * len(stochastic._grid(config)) * 8
+    stochastic._patched_block()  # any build happens outside the trace
+    tracemalloc.start()
+    try:
+        ensemble(desk_fixed, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * runs_bytes
 
 
 def test_ensemble_mean_approaches_fluid_with_population():
