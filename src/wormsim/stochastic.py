@@ -25,8 +25,8 @@ so each run is independently reproducible; runs go in key order.
 
 Every patched run is one driver, _run_patched, calling one block
 function per block of uniforms.  _patched.c's wormsim_patched_block,
-built with the system cc beside this file on the first patched run and
-called through ctypes, is that function; _block, its statement-for-
+which _native builds with the system cc on the first patched run and
+loads through ctypes, is that function; _block, its statement-for-
 statement Python twin, runs where the C cannot be built or loaded (no
 compiler, a read-only directory, no source), with the same bytes out.
 
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +101,6 @@ class EnsembleResult:
 
 
 _DRAW_BLOCK = 16384  # uniforms per Generator call in the patched loop
-
-# The compiled loop's source and flags; the library built from them is
-# named by a hash of both, so an edited source never loads a stale build.
-# No -march=native or -ffast-math: a fused multiply-add or a reassociated
-# sum would change the rounding.
-_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_patched.c")
-_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _check_exact_counts(params: ScenarioParams) -> None:
@@ -219,75 +211,17 @@ def _block(st, par, is_fixed, draws, n_draws, grid, n_pts, gi, out_s, out_i, out
     return gi
 
 
-def _build(source: str) -> str | None:
-    """Path of the library compiled from source, built beside it if missing.
-
-    The compiler writes to a temporary name in the source's directory,
-    which os.replace then moves to the final name (so a reader never sees
-    half a library) before older builds beside it are removed.  None,
-    silently, when the source is unreadable, there is no cc, the
-    directory is read-only or the build fails.
-    """
-    import contextlib
-    import glob
-    import hashlib
-    import shutil
-    import subprocess
-    import tempfile
-
-    try:
-        with open(source, "rb") as fh:
-            text = fh.read()
-    except OSError:
-        return None
-    digest = hashlib.sha256(text + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-    stem = os.path.splitext(source)[0]
-    lib = f"{stem}-{digest}.so"
-    if os.path.exists(lib):
-        return lib
-    cc = shutil.which("cc")
-    if cc is None:
-        return None
-    try:
-        fd, tmp = tempfile.mkstemp(
-            prefix=os.path.basename(lib) + ".", suffix=".tmp",
-            dir=os.path.dirname(source),
-        )
-    except OSError:
-        return None
-    os.close(fd)
-    try:
-        subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, source, "-lm"], check=True, timeout=120,
-            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        os.replace(tmp, lib)
-    except (OSError, subprocess.SubprocessError):
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        return None
-    for old in set(glob.glob(glob.escape(stem) + "-" + "[0-9a-f]" * 16 + ".so")) - {lib}:
-        with contextlib.suppress(OSError):
-            os.unlink(old)
-    return lib
-
-
 @functools.cache
 def _patched_block():
-    """The compiled block, or _block where it cannot be built or loaded.
-
-    Built or loaded once per process, on the first patched run, and a
-    failed build is not retried.
-    """
-    lib = _build(_C_SOURCE)
-    if lib is None:
-        return _block
+    """_patched.c's wormsim_patched_block, or _block where it cannot be
+    built or loaded; looked up once per process, on the first patched run,
+    so a failed build is not retried."""
     import ctypes
 
-    try:
-        block = ctypes.CDLL(lib).wormsim_patched_block
-    except (OSError, AttributeError):
+    from . import _native
+
+    block = _native.function("wormsim_patched_block")
+    if block is None:
         return _block
     f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     i64 = ctypes.c_int64
@@ -299,7 +233,7 @@ def _patched_block():
 
 
 def _run_patched(block, params: ScenarioParams, gen, grid):
-    """One patched run, one draw block per call of block (see _patched_block)."""
+    """One patched run: one draw buffer, refilled for each call of block."""
     n = float(params.n_hosts)
     g = params.gamma
     pb = float(params.p_bar)
@@ -308,9 +242,10 @@ def _run_patched(block, params: ScenarioParams, gen, grid):
     is_fixed = params.defense is DefenseKind.FIXED_SERVERS
     n_pts = len(grid)
     out_s, out_i, out_p = sip = np.empty((3, n_pts))
+    draws = np.empty(_DRAW_BLOCK)
     gi = 0
     while gi < n_pts:
-        draws = gen.random(_DRAW_BLOCK)
+        gen.random(out=draws)
         gi = block(st, par, is_fixed, draws, _DRAW_BLOCK, grid, n_pts, gi,
                    out_s, out_i, out_p)
     halt = float(st[4])

@@ -1,0 +1,95 @@
+"""Exact detection probabilities of the undefended stochastic worm.
+
+Without patching, I is a pure-birth chain: it goes k -> k + 1 at rate
+lambda_k = k (N - k) / N.  A telescope of M monitors is hit at rate
+c k with c = M / N, so the chance of no hit by t is the total mass at t
+of the forward equation with killing,
+
+    d pi_k / dt = lambda_{k-1} pi_{k-1} - (lambda_k + c k) pi_k,
+
+started at pi_{i0} = 1 (Norris, *Markov Chains*, 1997, ch. 2).  The
+solver below integrates it with classical RK4 over the first K states
+from i0; the mass past state K is bounded by the last state's, which
+the tests check is negligible.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from wormsim.core import DefenseKind, ScenarioParams
+from wormsim.monitoring import thumb_rule_monitors
+from wormsim.stochastic import StochasticConfig, detection_sim
+
+
+def _no_hit_mass(n, monitors, times, k_states, dt, i0=1):
+    """Mass of the killed forward equation at each of the increasing times,
+    each segment in equal RK4 steps of at most dt, and the last state's
+    mass at the final time."""
+    k = i0 + np.arange(k_states, dtype=float)
+    birth = k * (n - k) / n
+    leave = birth + monitors / n * k
+
+    def deriv(pi):
+        d = -leave * pi
+        d[1:] += birth[:-1] * pi[:-1]
+        return d
+
+    pi = np.zeros(k_states)
+    pi[0] = 1.0
+    masses, start = [], 0.0
+    for t in times:
+        steps = math.ceil((t - start) / dt)
+        h = (t - start) / steps
+        for _ in range(steps):
+            a = deriv(pi)
+            b = deriv(pi + h / 2 * a)
+            c = deriv(pi + h / 2 * b)
+            d = deriv(pi + h * c)
+            pi = pi + h / 6 * (a + 2 * b + 2 * c + d)
+        masses.append(pi.sum())
+        start = t
+    return np.array(masses), pi[-1]
+
+
+# P(first hit <= ln ln N) at the thumb-rule size ceil(N / ln N), from
+# the solver at (K, dt) = (800, 1e-3).
+_EXACT = {10**4: 0.5121620607, 85000: 0.5139418733}
+
+
+@pytest.mark.parametrize("n", sorted(_EXACT))
+def test_thumb_rule_telescope_detects_by_lnln_n_at_least_half_the_time(n):
+    # The paper's claim, without sampling: a ceil(N / ln N) telescope is
+    # hit by t = ln ln N with probability at least one half.
+    monitors = thumb_rule_monitors(n, DefenseKind.FIXED_SERVERS)
+    deadline = math.log(math.log(n))
+    coarse, _ = _no_hit_mass(n, monitors, [deadline], 400, 2e-3)
+    fine, tail = _no_hit_mass(n, monitors, [deadline], 800, 1e-3)
+    assert abs(coarse[0] - fine[0]) < 1e-9  # converged in K and dt
+    assert tail < 1e-30  # no mass left to leak past the truncation
+    assert 1.0 - fine[0] == pytest.approx(_EXACT[n], abs=1e-9)
+    assert 1.0 - fine[0] >= 0.5
+
+
+def test_detection_sim_matches_exact_cdf():
+    """The sampled detection CDF sits within 3 binomial sd of the exact one.
+
+    R and the band were fixed from the solver before any run.  At
+    N = 10**4 and t = ln ln N the exact P is 0.5122, with sd 0.0065 over
+    R = 6000 runs.  Hits counted from level i0 + 1 move P to 0.6167, 16
+    sd away.  A hazard scaled by 1.1 moves it to 0.5401, 4.3 sd away, so
+    a 3-sd band catches it in about 9 draws of 10; a surer catch needs
+    about twice the runs, past this test's time budget.
+    """
+    n, runs = 10**4, 6000
+    monitors = thumb_rule_monitors(n, DefenseKind.FIXED_SERVERS)
+    deadline = math.log(math.log(n))
+    times = deadline * np.array([0.25, 0.5, 0.75, 1.0])
+    exact = 1.0 - _no_hit_mass(n, monitors, times, 400, 2e-3)[0]
+    params = ScenarioParams(n_hosts=n, virulence=1.0, i0=1, defense=DefenseKind.NO_PATCHING)
+    hits = detection_sim(params, monitors,
+                         StochasticConfig(t_end_itu=deadline, seed=10**9, runs=runs))
+    sampled = np.array([np.mean(hits <= t) for t in times])
+    band = 3.0 * np.sqrt(exact * (1.0 - exact) / runs)
+    assert np.all(np.abs(sampled - exact) <= band), (sampled, exact, band)

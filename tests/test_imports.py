@@ -58,8 +58,10 @@ def test_no_unused_module_level_imports():
 
 def test_cli_import_loads_neither_numpy_random_nor_yaml():
     # numpy.random alone costs about 29 ms and 5.5 MB per CLI call; the
-    # stochastic engine and the YAML reader import theirs when first used.
-    probe = "import sys, wormsim.cli; print(sorted({'numpy.random', 'yaml'} & set(sys.modules)))"
+    # stochastic engine, its compiled-kernel loader and the YAML reader
+    # are imported when first used.
+    probe = ("import sys, wormsim.cli; "
+             "print(sorted({'numpy.random', 'yaml', 'wormsim._native'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wormsim import fluid, stochastic
+from wormsim import _native, fluid, stochastic
 from wormsim.cli import load_config, resolve_scenario
 from wormsim.core import DefenseKind, ScenarioError, ScenarioParams, TrajectorySource
 from wormsim.integrate import IntegratorConfig, integrate
@@ -633,7 +633,7 @@ def fresh_loader():
 
 def _copy_source(tmp_path):
     source = tmp_path / "_patched.c"
-    with open(stochastic._C_SOURCE, "rb") as fh:
+    with open(_native._C_SOURCE, "rb") as fh:
         source.write_bytes(fh.read())
     return source
 
@@ -651,7 +651,7 @@ def test_unbuildable_loop_falls_back_silently(monkeypatch, tmp_path, capfd, fres
         monkeypatch.setattr(tempfile, "mkstemp", read_only)
     else:
         source.unlink()
-    monkeypatch.setattr(stochastic, "_C_SOURCE", str(source))
+    monkeypatch.setattr(_native, "_C_SOURCE", str(source))
     stochastic._patched_block.cache_clear()
     got = [ensemble(params, cfg) for params in _SMALL_PATCHED]
     assert stochastic._patched_block() is stochastic._block
@@ -664,7 +664,7 @@ def test_unbuildable_loop_falls_back_silently(monkeypatch, tmp_path, capfd, fres
 def test_failed_build_is_tried_once_per_process(monkeypatch, tmp_path, capfd, fresh_loader):
     source = tmp_path / "_patched.c"
     source.write_text("this is not C\n")
-    monkeypatch.setattr(stochastic, "_C_SOURCE", str(source))
+    monkeypatch.setattr(_native, "_C_SOURCE", str(source))
     builds = []
     real_run = subprocess.run
     monkeypatch.setattr(
@@ -683,20 +683,20 @@ def test_failed_build_is_tried_once_per_process(monkeypatch, tmp_path, capfd, fr
 def test_edited_source_never_loads_stale_library(tmp_path):
     source = _copy_source(tmp_path)
     text = source.read_text()
-    first = stochastic._build(str(source))
+    first = _native._build(str(source))
     assert first is not None and os.path.dirname(first) == str(tmp_path)
     source.write_text(text + "#error edited\n")
-    assert stochastic._build(str(source)) is None  # not the earlier build, nor removes it
+    assert _native._build(str(source)) is None  # not the earlier build, nor removes it
     assert sorted(os.listdir(tmp_path)) == sorted([source.name, os.path.basename(first)])
     in_flight = tmp_path / f"{os.path.basename(first)}.k3x9q.tmp"  # another build's temporary
     in_flight.write_bytes(b"")
     source.write_text(text + "/* edited */\n")
-    second = stochastic._build(str(source))
+    second = _native._build(str(source))
     assert second not in (None, first) and os.path.exists(second)
     # The new library replaces the stale one, and leaves the temporary alone.
     names = [source.name, in_flight.name, os.path.basename(second)]
     assert sorted(os.listdir(tmp_path)) == sorted(names)
-    assert stochastic._build(str(source)) == second  # an unchanged source reuses it
+    assert _native._build(str(source)) == second  # an unchanged source reuses it
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
@@ -709,11 +709,47 @@ def test_library_is_built_and_loaded_beside_its_source(monkeypatch, tmp_path, fr
     )
     package = os.path.dirname(os.path.abspath(stochastic.__file__))
     assert stochastic._patched_block() is not stochastic._block  # the package's own source
-    monkeypatch.setattr(stochastic, "_C_SOURCE", str(_copy_source(tmp_path)))
+    monkeypatch.setattr(_native, "_C_SOURCE", str(_copy_source(tmp_path)))
     stochastic._patched_block.cache_clear()
     assert stochastic._patched_block() is not stochastic._block  # built fresh beside the copy
     assert [os.path.dirname(lib) for lib in loaded] == [package, str(tmp_path)]
     assert made[-1] == str(tmp_path) and set(made) <= {package, str(tmp_path)}
+    assert _native.function("wormsim_no_such_kernel") is None  # a symbol the library lacks
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+def test_first_load_removes_stale_builds(monkeypatch, tmp_path, fresh_loader):
+    source = _copy_source(tmp_path)
+    current = _native._build(str(source))
+    stale = tmp_path / "_patched-0123456789abcdef.so"  # an older source's build
+    stale.write_bytes(b"")
+    monkeypatch.setattr(_native, "_C_SOURCE", str(source))
+    assert stochastic._patched_block() is not stochastic._block  # reuses current
+    assert sorted(os.listdir(tmp_path)) == sorted([source.name, os.path.basename(current)])
+
+
+def test_patched_run_holds_one_draw_block():
+    # One draw buffer is refilled for every block call; a fresh block per
+    # call would hold two at once.  The compiled block keeps no copy of
+    # the draws (_block's tolist() does), so the buffer dominates the peak.
+    compiled, calls = _compiled_block(), []
+
+    def block(*args):
+        calls.append(args[7])
+        return compiled(*args)
+
+    scn = resolve_scenario(load_config("codered-fixed-desk"))
+    grid = stochastic._grid(scn.stochastic)
+    stochastic._run_patched(compiled, scn.params, stochastic._rng(0), grid)  # warm
+    gen = stochastic._rng(0)
+    tracemalloc.start()
+    try:
+        stochastic._run_patched(block, scn.params, gen, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) > 1  # the run spans several draw blocks
+    assert peak < 1.5 * stochastic._DRAW_BLOCK * 8
 
 
 def _ref_infection_jumps(params, gen):
