@@ -338,15 +338,15 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
         _checked("stochastic", _check_exact_counts, params)
 
     # Floats held, to within a few: t, S, I, P per RK4 sample or closed-form point,
-    # S, I, P per stochastic grid point and run, and for an undefended run its
-    # N - i0 holding times, rates and jump times.  Over 2**28 (2 GiB) is refused: a
-    # machine that overcommits memory would grant it, then run for hours.
+    # S, I, P per stochastic grid point and run, and for an undefended run its N - i0
+    # holding times, turned into jump times in place.  Over 2**28 (2 GiB) is refused:
+    # a machine that overcommits memory would grant it, then run for hours.
     form_dt, form_end = _closed_form_span(params, integrator)
     floats = dict(
         integrate=4 * (integrator.t_end_itu / integrator.dt_itu / integrator.sample_stride + 3),
         closed_form=4 * (form_end / form_dt + 2),
         stochastic=3 * stochastic.runs * (stochastic.t_end_itu / stochastic.sample_dt_itu + 1)
-        + (3 * (params.n_hosts - params.i0) if undefended else 0))
+        + (params.n_hosts - params.i0 if undefended else 0))
     for engine in engines:
         if floats[engine] > 2**28:
             raise ConfigError(f"engine {engine} would hold {floats[engine]:.3g} floats, "

@@ -45,7 +45,8 @@ ensemble refuse a larger patched run.  A seeded undefended run likewise
 draws all N - i0 holding times first, with standard_exponential (the
 same values and stream position as exponential(1.0)); a detection
 run's target or a scan-count run's Poisson counts come after them.
-Jump times are summed only as far as the horizon needs.
+The holding times become jump times in place, only as far as the
+horizon needs, so a run holds one float per host.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class EnsembleResult:
     extinct_before_end: int
 
 
-_DRAW_BLOCK = 16384  # uniforms per Generator call in the patched loop
+_DRAW_BLOCK = 16384  # uniforms per Generator call in the patched loop; the largest jump block
 
 
 def _check_exact_counts(params: ScenarioParams) -> None:
@@ -128,37 +129,36 @@ def _grid(config: StochasticConfig) -> np.ndarray:
 def _infection_jumps(
     params: ScenarioParams, gen: np.random.Generator, horizon: float
 ) -> np.ndarray:
-    """Jump times of the undefended worm: I rises by 1 at each entry.
+    """Jump times of the undefended worm at or before horizon, as a view of its draw.
 
-    Draws all N - i0 holding times, so the stream ends where it would
-    for the full path whatever the horizon.  Returns a prefix of the
-    full jump path whose last jump lies past horizon, or, when no such
-    prefix is shorter, the full path.  Either way every jump at or
-    before horizon is in it.
+    Draws all N - i0 holding times, so the stream ends where the full path
+    leaves it, and turns them into jump times in place: 64 at first, twice
+    as many in each later block up to _DRAW_BLOCK, until a block ends past
+    the horizon.  A block starts from the last sum of the one before, so
+    every time is the full path's cumsum, bit for bit.  I rises by 1 at each.
     """
     n, i0 = params.n_hosts, params.i0
-    holds = gen.standard_exponential(n - i0)
+    jumps = gen.standard_exponential(n - i0)
     # About i0 * e^t jumps fall before t, so at the ln ln N detection
-    # deadline 64 jumps pass the horizon in all but ~0.3% of runs.
-    m = min(n - i0, 64)
-    while True:
-        levels = np.arange(i0, i0 + m, dtype=float)
-        jumps = n - levels
-        jumps *= levels
-        jumps /= n  # the rates levels * (n - levels) / n, bit for bit
-        np.divide(holds[:m], jumps, out=jumps)
-        np.cumsum(jumps, out=jumps)
-        if jumps[-1] > horizon or m == n - i0:
-            return jumps
-        m = n - i0
+    # deadline one block of 64 passes the horizon in most runs.
+    done, size, last = 0, 64, 0.0
+    while done < n - i0 and last <= horizon:
+        block = jumps[done:done + size]
+        levels = np.arange(i0 + done, i0 + done + len(block), dtype=float)
+        block /= (n - levels) * levels / n  # the rates, bit for bit
+        block[0] += last
+        np.cumsum(block, out=block)
+        last = block[-1]
+        done += len(block)
+        size = min(2 * size, _DRAW_BLOCK)
+    return jumps[: np.searchsorted(jumps[:done], horizon, side="right")]
 
 
 def _run_no_patch(params: ScenarioParams, gen, grid):
     jumps = _infection_jumps(params, gen, grid[-1])
     i = params.i0 + np.searchsorted(jumps, grid, side="right").astype(float)
-    halt = None
-    if jumps[-1] <= grid[-1]:
-        halt = float(jumps[-1])  # fully infected: nothing left to happen
+    # All N - i0 jumps by the horizon: fully infected, nothing left to happen.
+    halt = float(jumps[-1]) if len(jumps) == params.n_hosts - params.i0 else None
     return np.stack((params.n_hosts - i, i, np.zeros_like(i))), halt
 
 
@@ -344,11 +344,11 @@ def detection_sim(
     t_end = config.t_end_itu
     out = np.empty(config.runs)
     for k, gen in enumerate(_generators(config)):
-        jumps = _infection_jumps(params, gen, t_end)
+        # Only jumps before the horizon enter the hazard before it.  Unnamed, the
+        # path (a view of this run's whole draw) is freed before the next run draws.
+        starts, levels, areas = _segments(
+            _infection_jumps(params, gen, math.nextafter(t_end, 0.0)), params.i0)
         target = gen.standard_exponential()
-        # Jumps at or past the horizon never enter the hazard before it.
-        jumps = jumps[: np.searchsorted(jumps, t_end, side="left")]
-        starts, levels, areas = _segments(jumps, params.i0)
         j = np.searchsorted(c * areas, target, side="right") - 1  # the hit's segment
         t_hit = starts[j] + (target - c * areas[j]) / (c * levels[j])
         out[k] = t_hit if t_hit <= t_end else np.inf
@@ -369,10 +369,9 @@ def monitor_scan_counts(
     c = monitors / params.n_hosts
     counts = np.zeros((config.runs, len(grid)), dtype=np.int64)
     for k, gen in enumerate(_generators(config)):
-        jumps = _infection_jumps(params, gen, grid[-1])
-        jumps = jumps[: np.searchsorted(jumps, grid[-1], side="right")]
-        starts, levels, areas = _segments(jumps, params.i0)
-        seg = np.searchsorted(jumps, grid, side="right")
+        # Unnamed, as in detection_sim: starts[1:] are the jumps.
+        starts, levels, areas = _segments(_infection_jumps(params, gen, grid[-1]), params.i0)
+        seg = np.searchsorted(starts[1:], grid, side="right")
         hazard = c * (areas[seg] + levels[seg] * (grid - starts[seg]))
         counts[k, 1:] = np.cumsum(gen.poisson(np.diff(hazard)))
     return grid, counts

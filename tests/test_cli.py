@@ -943,10 +943,10 @@ CONFIG_ERRORS = [
     ("stochastic-too-many-floats",
      _resolve_with(_set(None, engines=["stochastic"]), _set("stochastic", runs=10**9)),
      "engine stochastic would hold 7.23e+11 floats, more than the ceiling of 2**28"),
-    # an undefended run holds its N - i0 holding times, rates and jump times at once
+    # an undefended run holds its N - i0 holding times, turned into jump times in place
     ("stochastic-holding-times-too-many-floats",
      _resolve_with(_set(None, engines=["stochastic"]), _set("params", n_hosts=10**13)),
-     "engine stochastic would hold 3e+13 floats, more than the ceiling of 2**28"),
+     "engine stochastic would hold 1e+13 floats, more than the ceiling of 2**28"),
     # a patched run's float host counts are exact only while n_hosts**2 <= 2**55
     ("stochastic-host-counts-inexact",
      _resolve_with(_set(None, engines=["stochastic"]), _fixed,

@@ -20,7 +20,25 @@ import pytest
 
 from wormsim.core import DefenseKind, ScenarioParams
 from wormsim.monitoring import thumb_rule_monitors
-from wormsim.stochastic import StochasticConfig, detection_sim
+from wormsim.stochastic import StochasticConfig, detection_sim, monitor_scan_counts
+
+
+def _rk4_at(deriv, y, times, dt):
+    """y at each of the increasing times, each segment in equal classical
+    RK4 steps of at most dt."""
+    out, start = [], 0.0
+    for t in times:
+        steps = math.ceil((t - start) / dt)
+        h = (t - start) / steps
+        for _ in range(steps):
+            a = deriv(y)
+            b = deriv(y + h / 2 * a)
+            c = deriv(y + h / 2 * b)
+            d = deriv(y + h * c)
+            y = y + h / 6 * (a + 2 * b + 2 * c + d)
+        out.append(y)
+        start = t
+    return out
 
 
 def _no_hit_mass(n, monitors, times, k_states, dt, i0=1):
@@ -38,19 +56,28 @@ def _no_hit_mass(n, monitors, times, k_states, dt, i0=1):
 
     pi = np.zeros(k_states)
     pi[0] = 1.0
-    masses, start = [], 0.0
-    for t in times:
-        steps = math.ceil((t - start) / dt)
-        h = (t - start) / steps
-        for _ in range(steps):
-            a = deriv(pi)
-            b = deriv(pi + h / 2 * a)
-            c = deriv(pi + h / 2 * b)
-            d = deriv(pi + h * c)
-            pi = pi + h / 6 * (a + 2 * b + 2 * c + d)
-        masses.append(pi.sum())
-        start = t
-    return np.array(masses), pi[-1]
+    pis = _rk4_at(deriv, pi, times, dt)
+    return np.array([pi.sum() for pi in pis]), pis[-1][-1]
+
+
+def _mean_area(n, times, k_states, dt, i0=1):
+    """The integral of E[I] over [0, t] at each of the increasing times, for
+    the chain without killing, and the last state's mass at the final time.
+    The integral rides along the forward equation as one more state."""
+    k = i0 + np.arange(k_states, dtype=float)
+    birth = k * (n - k) / n
+
+    def deriv(y):
+        pi, d = y[:-1], np.empty_like(y)
+        d[:-1] = -birth * pi
+        d[1:-1] += birth[:-1] * pi[:-1]
+        d[-1] = k @ pi
+        return d
+
+    y = np.zeros(k_states + 1)
+    y[0] = 1.0
+    ys = _rk4_at(deriv, y, times, dt)
+    return np.array([y[-1] for y in ys]), ys[-1][-2]
 
 
 # P(first hit <= ln ln N) at the thumb-rule size ceil(N / ln N), from
@@ -92,4 +119,34 @@ def test_detection_sim_matches_exact_cdf():
                          StochasticConfig(t_end_itu=deadline, seed=10**9, runs=runs))
     sampled = np.array([np.mean(hits <= t) for t in times])
     band = 3.0 * np.sqrt(exact * (1.0 - exact) / runs)
+    assert np.all(np.abs(sampled - exact) <= band), (sampled, exact, band)
+
+
+def test_scan_counts_match_exact_mean():
+    """The sampled mean scan count sits within 3 standard errors of the exact one.
+
+    The exact mean count at t is c times the integral of E[I] over
+    [0, t], with E[I] from the chain without killing.  R and the band were
+    fixed before any run, from I(t) ~ W e^t with W exponential: at
+    N = 10**4 and t = T = ln ln N the mean count is about 0.89 with sd
+    about 1.3, so R = 8000 runs give a standard error near 0.015.  Levels
+    counted from i0 + 1 add c t, 0.24 at T, about 16 standard errors; a
+    hazard scaled by 1.1 adds 0.089, about 6, so a 3-standard-error band
+    lets it pass about once in a thousand key sets.
+    """
+    n, runs = 10**4, 8000
+    monitors = thumb_rule_monitors(n, DefenseKind.FIXED_SERVERS)
+    deadline = math.log(math.log(n))
+    params = ScenarioParams(n_hosts=n, virulence=1.0, i0=1, defense=DefenseKind.NO_PATCHING)
+    config = StochasticConfig(t_end_itu=deadline, sample_dt_itu=deadline / 4,
+                              seed=2 * 10**9, runs=runs)
+    grid, counts = monitor_scan_counts(params, monitors, config)
+    assert np.array_equal(grid, deadline * np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+    coarse, _ = _mean_area(n, grid[1:], 400, 2e-3)
+    fine, tail = _mean_area(n, grid[1:], 800, 1e-3)
+    assert np.all(np.abs(coarse - fine) < 1e-9 * fine)  # converged in K and dt
+    assert tail < 1e-30
+    exact = monitors / n * fine
+    sampled = counts[:, 1:].mean(axis=0)
+    band = 3.0 * counts[:, 1:].std(axis=0, ddof=1) / math.sqrt(runs)
     assert np.all(np.abs(sampled - exact) <= band), (sampled, exact, band)

@@ -225,20 +225,49 @@ def test_ensemble_mean_is_key_ordered_sum_of_runs(params):
         assert np.array_equal(got, want)
 
 
-def test_ensemble_holds_no_second_runs_array(desk_fixed):
+def test_ensemble_holds_no_second_runs_array():
     # The spread is taken in the runs array's own buffer; np.std's copy of
     # it would take the peak past twice its size.  A fine grid makes the
-    # runs array dominate each run's own draws.
+    # runs array dominate each run's own draws, and undefended runs need
+    # no event loop, so the check costs the same with or without a compiler.
     config = StochasticConfig(t_end_itu=48.0, seed=0, runs=50, sample_dt_itu=0.01)
     runs_bytes = config.runs * 3 * len(stochastic._grid(config)) * 8
-    stochastic._patched_block()  # any build happens outside the trace
     tracemalloc.start()
     try:
-        ensemble(desk_fixed, config)
+        ensemble(_undefended(10000), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * runs_bytes
+
+
+def test_undefended_run_holds_one_float_per_host():
+    # cli.resolve_scenario counts one float per undefended host against its
+    # ceiling: the holding times, turned into jump times in place.
+    params = _undefended(10**6)
+    tracemalloc.start()
+    try:
+        traj = simulate(params, StochasticConfig(t_end_itu=60.0, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.halt_itu is not None  # the full path: every host infected
+    assert peak < 1.2 * 8 * params.n_hosts
+
+
+@pytest.mark.parametrize("sampler", [detection_sim, monitor_scan_counts],
+                         ids=["detection_sim", "monitor_scan_counts"])
+def test_telescope_runs_hold_one_draw_at_a_time(sampler):
+    # Each run's draw goes before the next run draws its own, so three runs
+    # peak at one float per host, as one run does.
+    params = _undefended(10**6)
+    tracemalloc.start()
+    try:
+        sampler(params, 1000, StochasticConfig(t_end_itu=2.0, seed=0, runs=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 8 * params.n_hosts
 
 
 def test_ensemble_mean_approaches_fluid_with_population():
@@ -821,8 +850,7 @@ def test_telescope_prefix_matches_full_jump_hazard(monkeypatch, monitors, t_end)
     def checked_jumps(params, gen, horizon):
         full.append(_ref_infection_jumps(params, copy.deepcopy(gen)))
         got = infection_jumps(params, gen, horizon)
-        assert np.array_equal(got, full[-1][: len(got)])
-        assert got[-1] > horizon or len(got) == len(full[-1])
+        assert np.array_equal(got, full[-1][full[-1] <= horizon])
         return got
 
     def checked_segments(jumps, i0):
@@ -844,35 +872,55 @@ def test_telescope_prefix_matches_full_jump_hazard(monkeypatch, monitors, t_end)
 @pytest.mark.parametrize(
     "n,i0,horizon,size",
     [
-        (10000, 1, 0.0, 64),
-        (10000, 1, "below-64th", 64),
-        (10000, 1, "64th", 9999),
-        (10000, 1, math.inf, 9999),
-        (50, 1, 0.0, 49),
-        (10, 9, 0.0, 1),
-        (10, 9, math.inf, 1),
+        (10000, 1, lambda ref: 0.0, 0),
+        (10000, 1, lambda ref: np.nextafter(ref[63], 0.0), 63),
+        (10000, 1, lambda ref: ref[63], 64),
+        (10000, 1, lambda ref: math.inf, 9999),
+        (50, 1, lambda ref: ref[-1], 49),
+        (10, 9, lambda ref: 0.0, 0),
+        (10, 9, lambda ref: math.inf, 1),
+        (10000, 1, lambda ref: ref[191], 192),
+        (50000, 1, lambda ref: ref[40000], 40001),
     ],
     ids=["zero", "below-64th", "at-64th", "inf", "short-path", "one-jump-zero",
-         "one-jump-inf"],
+         "one-jump-inf", "at-192nd", "past-block-cap"],
 )
 def test_infection_jumps_prefix(n, i0, horizon, size):
-    # The returned prefix is the start of the full path and ends past the
-    # horizon unless it is the full path; the stream ends where the full
-    # path leaves it.
+    # Exactly the full path's jumps at or before the horizon, and the stream
+    # ends where the full path leaves it.  The blocks hold 64, 128, 256, ...
+    # jumps: at-64th and at-192nd end a block at the horizon, so the next one
+    # is summed; past-block-cap sums past 32,704 jumps in blocks of _DRAW_BLOCK;
+    # short-path's horizon is its last jump, inside its first block.
     params = ScenarioParams(
         n_hosts=n, virulence=1.0, i0=i0, defense=DefenseKind.NO_PATCHING
     )
     ref_gen = stochastic._rng(3)
     ref = _ref_infection_jumps(params, ref_gen)
-    if horizon == "64th":
-        horizon = ref[63]
-    elif horizon == "below-64th":
-        horizon = np.nextafter(ref[63], 0.0)
+    horizon = horizon(ref)
     gen = stochastic._rng(3)
     got = stochastic._infection_jumps(params, gen, horizon)
     assert len(got) == size
-    assert np.array_equal(got, ref[:size])
+    assert np.array_equal(got, ref[ref <= horizon])
     assert gen.random() == ref_gen.random()
+
+
+def test_one_point_grid_runs_match_reference():
+    # A horizon short of one sampling step leaves the grid at t = 0 alone,
+    # before any jump, so the runs read an empty jump path.
+    params = _undefended(300)
+    cfg = StochasticConfig(t_end_itu=0.01, seed=4, runs=3, sample_dt_itu=0.05)
+    grid = stochastic._grid(cfg)
+    assert grid.tolist() == [0.0]
+    s, i, p, halt = _ref_run_no_patch(params, stochastic._rng(cfg.seed), grid)
+    traj = simulate(params, cfg)
+    assert halt is None and traj.halt_itu is None
+    for got, want in zip((traj.s, traj.i, traj.p), (s, i, p)):
+        assert np.array_equal(got, want)
+    got_grid, counts = monitor_scan_counts(params, 30, cfg)
+    want_grid, want_counts = _ref_scan_counts(params, 30, cfg)
+    assert np.array_equal(got_grid, want_grid)
+    assert np.array_equal(counts, want_counts)
+    assert counts.shape == (3, 1)
 
 
 def test_undefended_runs_match_reference():
