@@ -337,10 +337,10 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
     if "stochastic" in engines:
         _checked("stochastic", _check_exact_counts, params)
 
-    # Floats held, to within a few: t, S, I, P per RK4 sample or closed-form point,
-    # S, I, P per stochastic grid point and run, and for an undefended run its N - i0
-    # holding times, turned into jump times in place.  Over 2**28 (2 GiB) is refused:
-    # a machine that overcommits memory would grant it, then run for hours.
+    # Floats held: t, S, I, P per RK4 sample (the kernel's one buffer) or closed-form
+    # point, S, I, P per stochastic grid point and run, an undefended run's N - i0 jump
+    # times.  Each engine peaks within 1.6x of it, plus a patched run's draw block.  Over
+    # 2**28 (2 GiB) is refused: a machine that overcommits would grant it, then run for hours.
     form_dt, form_end = _closed_form_span(params, integrator)
     floats = dict(
         integrate=4 * (integrator.t_end_itu / integrator.dt_itu / integrator.sample_stride + 3),

@@ -171,10 +171,10 @@ def _rk4_kernel(fixed, g_n, n, gamma, p_bar, s, i, p, dt, n_steps, stride,
 def integrate(params: ScenarioParams, config: IntegratorConfig) -> Trajectory:
     """Integrate the scenario's fluid model over [0, t_end_itu].
 
-    The horizon is rounded up to a whole number of steps.  Raises
-    RuntimeError naming the first bad step if the state stops being
-    finite (cannot happen for in-contract scenarios, but the guard
-    keeps misuse loud rather than silent).
+    The horizon is rounded up to a whole number of steps.  The arrays
+    are rows of the one buffer the kernel filled, held whole even after
+    an early halt.  A non-finite state raises RuntimeError naming the
+    first bad step (out of contract, but kept loud rather than silent).
     """
     n_steps = max(1, int(math.ceil(config.t_end_itu / config.dt_itu - 1e-9)))
     out = np.empty((4, n_steps // config.sample_stride + 3))  # rows t, S, I, P
@@ -191,6 +191,6 @@ def integrate(params: ScenarioParams, config: IntegratorConfig) -> Trajectory:
             f"integration diverged (non-finite state) at step {last_step}"
         )
     halt = last_step * config.dt_itu if status == _HALTED_EXTINCT else None
-    t_itu, s, i, p = out[:, :count].copy()
+    t_itu, s, i, p = out[:, :count]
     return Trajectory(t_itu=t_itu, s=s, i=i, p=p, params=params,
                       source=TrajectorySource.INTEGRATED, halt_itu=halt)

@@ -1,11 +1,14 @@
 """Fixed-step RK4 integrator: accuracy, sampling, halting, conservation."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wormsim import fluid
+from wormsim.cli import load_config, resolve_scenario
 from wormsim.core import (
     DefenseKind,
     ScenarioParams,
@@ -14,6 +17,7 @@ from wormsim.core import (
     validate_trajectory,
 )
 from wormsim.integrate import IntegratorConfig, integrate
+from wormsim.scenarios import BUILTIN_SCENARIOS, builtin_names
 
 
 # --- configuration ------------------------------------------------------
@@ -250,3 +254,31 @@ def test_integrated_trajectories_conserve_hosts(request, fixture, t_end):
     traj = integrate(params, IntegratorConfig(t_end_itu=t_end))
     assert conservation_error(traj) <= 1e-9 * params.n_hosts
     assert validate_trajectory(traj) is traj
+
+
+# --- memory -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in builtin_names() if "integrate" in BUILTIN_SCENARIOS[n]["engines"]]
+)
+def test_integrate_holds_one_sample_buffer(name):
+    # cli.resolve_scenario counts 4 floats per RK4 sample against its
+    # ceiling: the kernel's one (4, n_steps // stride + 3) buffer, whose
+    # rows the trajectory keeps.  A copy of the filled rows would take the
+    # peak towards twice that.  Stride 1 makes the buffer dominate.
+    scn = resolve_scenario(load_config(name))
+    config = dataclasses.replace(scn.integrator, sample_stride=1)
+    n_steps = math.ceil(config.t_end_itu / config.dt_itu - 1e-9)
+    # A full garbage collection empties CPython's float free list, and a
+    # traced run that starts from an empty list takes up to 10x longer; a
+    # short untraced run refills it first.
+    integrate(scn.params, dataclasses.replace(config, t_end_itu=0.05))
+    tracemalloc.start()
+    try:
+        traj = integrate(scn.params, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.flags.c_contiguous for row in (traj.t_itu, traj.s, traj.i, traj.p))
+    assert peak <= 1.05 * 8 * 4 * (n_steps + 3)
