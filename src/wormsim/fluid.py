@@ -17,7 +17,8 @@ No patching is mass-action patching at rate 0.  The RK4 kernel in
 ties its steps to ``rhs`` bit for bit), so these rates get integrated.
 
 Each model has a closed-form solution for I(t) (and P(t) for the
-peer-to-peer patch sigmoid), implemented here in overflow-safe form.
+peer-to-peer patch sigmoid), in overflow-safe form, taking a scalar or
+array t and returning what numpy returns (a float64 for a scalar t).
 """
 
 from __future__ import annotations
@@ -60,17 +61,19 @@ def rhs(state: tuple[float, float, float], params: ScenarioParams) -> tuple[floa
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def closed_form_no_patch(t, params: ScenarioParams):
-    """Exact sigmoid I(t) of the simple epidemic.
+def _logistic(t, x0, n, rate):
+    """Simple-epidemic sigmoid from x0 of n hosts, growing at rate per ITU.
 
-    Written as I0 / (i0_frac + (1 - i0_frac) * exp(-t)) so large t
-    saturates cleanly at N instead of overflowing.
-    Accepts scalar or array t.
+    Written as x0 / (f + (1 - f) * exp(-rate * t)) with f = x0 / n, so
+    large t saturates cleanly at n instead of overflowing.
     """
-    t = np.asarray(t, dtype=float)
-    frac = params.i0 / params.n_hosts
-    out = params.i0 / (frac + (1.0 - frac) * np.exp(-t))
-    return float(out) if out.ndim == 0 else out
+    frac = x0 / n
+    return x0 / (frac + (1.0 - frac) * np.exp(-rate * np.asarray(t, dtype=float)))
+
+
+def closed_form_no_patch(t, params: ScenarioParams):
+    """Exact sigmoid I(t) of the simple epidemic, the worm's own logistic."""
+    return _logistic(t, params.i0, params.n_hosts, 1.0)
 
 
 def fixed_validity_window(params: ScenarioParams) -> float:
@@ -103,8 +106,7 @@ def closed_form_fixed(t, params: ScenarioParams):
     gp = params.gamma * params.p_bar
     x = t * (1.0 - params.p_bar / n) - gp * t * t / (2.0 * n)
     c = (n - params.p_bar) / params.i0
-    out = (n - params.p_bar - gp * t) / (1.0 + c * np.exp(-x))
-    return float(out) if out.ndim == 0 else out
+    return (n - params.p_bar - gp * t) / (1.0 + c * np.exp(-x))
 
 
 def closed_form_p2p_patch(t, params: ScenarioParams):
@@ -114,10 +116,7 @@ def closed_form_p2p_patch(t, params: ScenarioParams):
     infection status, so P(t) is the simple-epidemic sigmoid with
     initial value p_bar and time scaled by gamma.
     """
-    t = np.asarray(t, dtype=float)
-    frac = params.p_bar / params.n_hosts
-    out = params.p_bar / (frac + (1.0 - frac) * np.exp(-params.gamma * t))
-    return float(out) if out.ndim == 0 else out
+    return _logistic(t, params.p_bar, params.n_hosts, params.gamma)
 
 
 def closed_form_p2p(t, params: ScenarioParams):
@@ -145,8 +144,7 @@ def closed_form_p2p(t, params: ScenarioParams):
         egt = np.exp(g * t)
         b = pfrac + (1.0 - pfrac) * np.exp(-g * t)
         v = a * egt + 1.0 / n + egt * np.power(b, 1.0 + 1.0 / g) / params.i0
-        out = 1.0 / v
-    return float(out) if out.ndim == 0 else out
+        return 1.0 / v
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +161,14 @@ def closed_form_trajectory(params: ScenarioParams, t_grid) -> Trajectory:
     t = np.asarray(t_grid, dtype=float)
     n = float(params.n_hosts)
     if params.defense is DefenseKind.NO_PATCHING:
-        i = np.asarray(closed_form_no_patch(t, params))
+        i = closed_form_no_patch(t, params)
         p = np.zeros_like(i)
     elif params.defense is DefenseKind.FIXED_SERVERS:
-        i = np.asarray(closed_form_fixed(t, params))
+        i = closed_form_fixed(t, params)
         p = params.p_bar + params.gamma * params.p_bar * t
     else:
-        i = np.asarray(closed_form_p2p(t, params))
-        p = np.asarray(closed_form_p2p_patch(t, params))
+        i = closed_form_p2p(t, params)
+        p = closed_form_p2p_patch(t, params)
     s = n - i - p
     neg = s < 0.0
     if np.any(neg):

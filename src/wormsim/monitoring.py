@@ -30,8 +30,8 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
     evaluated in log-sum form, so it stays finite for large t; the product
     with ``monitors`` can still pass the float range, and is then inf, with
     no warning.  Near t = 0 the log-sum can round below 0; it is then taken
-    as 0, so the result is never negative.  Accepts scalar or array t.
-    Raises ValueError unless ``monitors`` is an integer >= 1.
+    as 0, so the result is never negative.  t may be an array; a scalar
+    gives a float64.  Raises ValueError unless ``monitors`` is an integer >= 1.
     """
     if not _is_count(monitors) or monitors < 1:
         raise ValueError("monitors must be an integer >= 1")
@@ -41,8 +41,7 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
     frac = params.i0 / params.n_hosts
     log_a = np.maximum(np.logaddexp(math.log1p(-frac), math.log(frac) + t), 0.0)
     with np.errstate(over="ignore"):
-        out = monitors * log_a
-    return float(out) if out.ndim == 0 else out
+        return monitors * log_a
 
 
 def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> int:

@@ -18,8 +18,9 @@ import math
 import numpy as np
 import pytest
 
+from wormsim.cli import load_config, resolve_scenario
 from wormsim.core import DefenseKind, ScenarioParams
-from wormsim.monitoring import thumb_rule_monitors
+from wormsim.monitoring import monitors_for_detection, thumb_rule_monitors
 from wormsim.stochastic import (
     StochasticConfig,
     detection_sim,
@@ -119,6 +120,75 @@ def test_thumb_rule_telescope_detects_by_lnln_n_at_least_half_the_time(n):
     assert tail < 1e-30  # no mass left to leak past the truncation
     assert 1.0 - fine[0] == pytest.approx(_EXACT[n], abs=1e-9)
     assert 1.0 - fine[0] >= 0.5
+
+
+# N: (monitors_for_detection at t = ln ln N, P(first hit <= ln ln N)) with
+# i0 = 1, from the solver at (K, dt) = (800, 1e-3), which agrees with
+# (400, 2e-3) to 2e-13 at every N here and at both built-ins below.
+_SIZED = {
+    10**3: (170, 0.5545490349),
+    10**4: (1219, 0.5459989807),
+    85000: (8213, 0.5405427549),
+    360000: (30525, 0.5377016455),
+    10**6: (78031, 0.5359653477),
+    10**8: (5740305, 0.5300208446),
+    2**32: (202777308, 0.5266240132),
+}
+
+
+def _sized_hit_probability(n, monitors, deadline):
+    """P(first hit <= deadline) from i0 = 1, at (K, dt) = (400, 2e-3)."""
+    no_hit, tail = _no_hit_mass(n, monitors, [deadline], 400, 2e-3)
+    assert tail < 1e-15  # the truncation leaks nothing the pinned digits see
+    return 1.0 - no_hit[0]
+
+
+def test_sized_telescope_detects_by_lnln_n_at_least_half_the_time_at_every_n():
+    """The telescope monitors_for_detection sizes for ln ln N is hit by then
+    with probability above 1/2 at every N, falling towards 1/2.
+
+    Why 1/2: from i0 = 1, while I is small against N the chain is a Yule
+    process, and I(t) e^(-t) tends to W ~ Exp(1) almost surely (Athreya
+    and Ney, *Branching Processes*, 1972, ch. III).  The sizing makes the
+    fluid expected hit count 1 at T = ln ln N, that is c (e^T - 1) = 1 to
+    first order in e^T / N, with c = M / N.  The hit hazard is c I(t), so
+    given the path, P(no hit by T) = exp(-c int_0^T I dt), and
+    c int_0^T I dt -> W as N, and with it T, grows.  So P(no hit) tends to
+    E[e^(-W)] = int_0^oo e^(-2w) dw = 1/2: the sized telescope expects
+    one hit, but that hit is exponentially spread, and it is missed half
+    the time.  Each size and probability is pinned, so a telescope one
+    monitor off fails here, and so does one 10% too small, which still
+    reads 0.523 at N = 10**3 and 0.501 at 10**8, above the bare 1/2.
+    """
+    ladder = sorted(_SIZED)
+    deadlines = [math.log(math.log(n)) for n in ladder]
+    sizes = [
+        monitors_for_detection(ScenarioParams(n_hosts=n, virulence=1.0, i0=1,
+                                              defense=DefenseKind.NO_PATCHING), t)
+        for n, t in zip(ladder, deadlines)
+    ]
+    assert sizes == [_SIZED[n][0] for n in ladder]
+    probabilities = [_sized_hit_probability(n, m, t)
+                     for n, m, t in zip(ladder, sizes, deadlines)]
+    assert probabilities == pytest.approx([_SIZED[n][1] for n in ladder], abs=1e-10)
+    assert min(probabilities) >= 0.5
+    assert all(a > b for a, b in zip(probabilities, probabilities[1:]))
+
+
+@pytest.mark.parametrize("name, monitors, exact", [
+    ("monitoring-slammer", 8297, 0.5407752558),
+    ("monitoring-ipv4", 202782189, 0.5266244139),
+])
+def test_builtin_required_monitors_detect_by_deadline_at_least_half_the_time(
+        name, monitors, exact):
+    # The sizes the CLI reports, at the built-ins' own (rounded) deadlines.
+    scn = resolve_scenario(load_config(name))
+    sizing = scn.monitoring
+    assert sizing["required_monitors"] == monitors
+    deadline = sizing["deadline"]["itu"]
+    hit = _sized_hit_probability(scn.params.n_hosts, monitors, deadline)
+    assert hit == pytest.approx(exact, abs=1e-10)
+    assert hit >= 0.5
 
 
 def test_detection_sim_matches_exact_cdf():

@@ -14,6 +14,7 @@ from wormsim.core import (
     TrajectorySource,
     validate_trajectory,
 )
+from wormsim.monitoring import expected_scans
 
 
 # --- right-hand sides ---------------------------------------------------
@@ -233,3 +234,46 @@ def test_early_phase_tracks_pure_exponential(family, n_hosts):
     value = curve(t_star, params)
     reference = i0 * np.exp(t_star)
     assert abs(value - reference) / reference < 0.05
+
+
+# --- scalar and array calls ---------------------------------------------
+
+
+def test_scalar_t_gives_the_array_calls_value():
+    """A scalar t returns a float equal to the same point of an array call.
+
+    Each closed form and ``expected_scans`` returns what numpy returns, a
+    float64 for a scalar t.  Numpy's scalar arithmetic need not round as
+    its ufuncs do (a float64 raised with ``**`` can differ in the last
+    digit from ``np.power``), so a scalar path that drifts from the array
+    path shows here.  Fixed servers are drawn inside their validity window.
+    """
+    rng = np.random.default_rng(26)
+    checked = 0
+    for _ in range(1600):
+        n = int(10 ** rng.uniform(2.0, 9.0))
+        i0, p_bar = (int(k) for k in rng.integers(1, max(2, n // 20), size=2))
+        gamma = float(10 ** rng.uniform(-1.0, 1.0))
+        t = rng.uniform(0.0, 40.0, size=5)
+        for defense in DefenseKind:
+            params = ScenarioParams(n_hosts=n, virulence=1.0, i0=i0, defense=defense,
+                                    gamma=gamma, p_bar=p_bar)
+            if defense is DefenseKind.NO_PATCHING:
+                monitors = int(rng.integers(1, n))
+                calls = [fluid.closed_form_no_patch,
+                         lambda t, params: expected_scans(t, params, monitors)]
+                times = t
+            elif defense is DefenseKind.FIXED_SERVERS:
+                calls = [fluid.closed_form_fixed]
+                times = t / 40.0 * fluid.fixed_validity_window(params)
+            else:
+                calls = [fluid.closed_form_p2p, fluid.closed_form_p2p_patch]
+                times = t
+            for call in calls:
+                array = call(times, params)
+                for k, tk in enumerate(times.tolist()):
+                    value = call(tk, params)
+                    assert isinstance(value, float), (call, type(value))
+                    assert value == array[k], (call, params, tk, value, array[k])
+                    checked += 1
+    assert checked == 1600 * 5 * 5
