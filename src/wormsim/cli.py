@@ -475,10 +475,8 @@ def _predictions(scn: ResolvedScenario) -> dict:
         infected, notes = None, {"peak_infected_note": "n/a (order-of-N scaling only)"}
     else:
         peak, extinction = p2p_peak_time(params), p2p_extinction_time(params)
-        try:
-            infected, notes = p2p_peak_infected(params), {}
-        except ValueError:
-            infected, notes = None, {"peak_infected_note": "n/a (gamma <= 1)"}
+        infected = p2p_peak_infected(params)
+        notes = {} if infected is not None else {"peak_infected_note": "n/a (gamma <= 1)"}
     return _report_json(scn.time_unit, {"peak_time": peak, "peak_infected": infected,
                                         "extinction_time": extinction, **notes})
 

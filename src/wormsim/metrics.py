@@ -69,24 +69,19 @@ def p2p_peak_time(params: ScenarioParams) -> TimeValue:
     return TimeValue.from_itu(t, params)
 
 
-def p2p_peak_infected(params: ScenarioParams) -> float:
-    """Asymptotic peak size under peer-to-peer patching, for gamma > 1.
+def p2p_peak_infected(params: ScenarioParams) -> Optional[float]:
+    """Asymptotic peak size under peer-to-peer patching, or None for gamma <= 1.
 
     I_max = g * I0 * N^(1/g) / (Pb^(1/g) * (1+g)^(1 + 1/g)); the peak
     grows like N^(1/g), so any patch rate above the worm's turns a
-    Theta(N) epidemic into a vanishing fraction of the population.
-
-    Raises ValueError("gamma_le_one...") when gamma <= 1: the integral
-    behind the law diverges there and the formula does not apply; use
-    numeric extraction from a trajectory instead.
+    Theta(N) epidemic into a vanishing fraction of the population.  For
+    gamma <= 1 the integral behind the law diverges and there is no
+    analytic peak; extract it from a trajectory instead.
     """
     _require_defense(params, DefenseKind.PEER_TO_PEER, "p2p_peak_infected")
     g = params.gamma
     if g <= 1.0:
-        raise ValueError(
-            "gamma_le_one: analytic peak size needs gamma > 1; "
-            "extract the peak from an integrated trajectory instead"
-        )
+        return None
     return (
         g * params.i0 * params.n_hosts ** (1.0 / g)
         / (params.p_bar ** (1.0 / g) * (1.0 + g) ** (1.0 + 1.0 / g))
@@ -158,15 +153,15 @@ def _crossing(traj: Trajectory, j: int, level: float) -> TimeValue:
 
 def trajectory_extinction(
     traj: Trajectory, threshold: Optional[float] = None
-) -> TimeValue:
-    """Time the infection finally drops below ``threshold`` hosts.
+) -> Optional[TimeValue]:
+    """Time the infection finally drops below ``threshold`` hosts, or None.
 
     Finds the last sample at or above the threshold and linearly
     interpolates the downward crossing to the next sample, i.e. the
     entry into the trajectory's final sub-threshold stretch.  If the
     whole trajectory is below the threshold, the first sample time is
-    returned.  Raises ValueError("never_extinct...") when the
-    trajectory ends at or above the threshold.
+    returned; if it ends at or above the threshold, None.  A threshold
+    that is not positive raises ValueError.
     """
     if threshold is None:
         threshold = default_extinction_threshold(traj.params)
@@ -177,27 +172,22 @@ def trajectory_extinction(
         return TimeValue.from_itu(float(traj.t_itu[0]), traj.params)
     j = int(above[-1])
     if j == len(traj.i) - 1:
-        raise ValueError(
-            f"never_extinct: infection still at {float(traj.i[j]):g} >= "
-            f"threshold {threshold:g} at the end of the trajectory"
-        )
+        return None
     return _crossing(traj, j, threshold)
 
 
-def trajectory_spread_time(traj: Trajectory, kappa: float) -> TimeValue:
-    """First time the trajectory's infection reaches kappa * N.
+def trajectory_spread_time(traj: Trajectory, kappa: float) -> Optional[TimeValue]:
+    """First time the trajectory's infection reaches kappa * N, or None if never.
 
-    Linear interpolation between the bracketing samples.  Raises
-    ValueError if the level is never reached.
+    Linear interpolation between the bracketing samples.  A kappa outside
+    (0, 1) raises ValueError.
     """
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie strictly between 0 and 1")
     level = kappa * traj.params.n_hosts
     reached = np.nonzero(traj.i >= level)[0]
     if len(reached) == 0:
-        raise ValueError(
-            f"infection never reaches kappa={kappa:g} of the population"
-        )
+        return None
     j = int(reached[0])
     if j == 0:
         return TimeValue.from_itu(float(traj.t_itu[0]), traj.params)
@@ -218,18 +208,9 @@ def summarize(
     None if it never does}.
     """
     peak_time, peak_infected = trajectory_peak(traj)
-    try:
-        extinction: Optional[TimeValue] = trajectory_extinction(traj, threshold)
-    except ValueError:
-        extinction = None
     summary = {"peak_time": peak_time, "peak_infected": peak_infected,
-               "extinction_time": extinction}
-    spread = {}
-    for kappa in kappas:
-        try:
-            spread[f"{kappa:g}"] = trajectory_spread_time(traj, kappa)
-        except ValueError:
-            spread[f"{kappa:g}"] = None
-    if spread:
-        summary["spread_time"] = spread
+               "extinction_time": trajectory_extinction(traj, threshold)}
+    if kappas:
+        summary["spread_time"] = {
+            f"{kappa:g}": trajectory_spread_time(traj, kappa) for kappa in kappas}
     return summary

@@ -27,7 +27,8 @@ from wormsim.cli import (
 )
 from wormsim.core import Trajectory, TrajectorySource
 from wormsim.fluid import fixed_validity_window
-from wormsim.scenarios import builtin_names
+from wormsim.metrics import trajectory_extinction, trajectory_spread_time
+from wormsim.scenarios import builtin_names, builtin_scenario
 from wormsim.stochastic import simulate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -145,6 +146,11 @@ def test_builtin_configs_all_resolve():
     for name in builtin_names():
         scn = resolve_scenario(load_config(name))
         assert scn.name == name
+
+
+def test_builtin_scenario_rejects_unknown_name():
+    with pytest.raises(KeyError, match="no-such-scenario"):
+        builtin_scenario("no-such-scenario")
 
 
 def test_apply_override_parses_scalars():
@@ -595,6 +601,30 @@ def test_variant_outputs_are_pinned(case, config, sets, tmp_path, capsys):
     outputs = _variant_outputs(config, sets, tmp_path / "out", capsys)
     assert (json.dumps(outputs, indent=2, sort_keys=True)
             == json.dumps(golden, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("case", ["kappa-never-reached", "extinction-never-reached"])
+def test_unreached_quantity_is_none_in_library_and_null_in_report(case, tmp_path):
+    # The library's None for a quantity a run never reaches is what
+    # report.json holds as null under the same key.
+    _, config, sets = next(v for v in VARIANTS if v[0] == case)
+    argv = ["--config", config] + [arg for item in sets for arg in ("--set", item)]
+    assert main(["run", "--out", str(tmp_path)] + argv) == 0
+    report = _report_values(tmp_path)
+    raw = load_config(config)
+    for item in sets:
+        apply_override(raw, item)
+    scn = resolve_scenario(raw)
+    for engine in scn.engines:
+        traj, _ = cli.run_engine(scn, engine)
+        block = report["engines"][engine]
+        if case == "kappa-never-reached":
+            (kappa,) = scn.kappa
+            assert trajectory_spread_time(traj, kappa) is None
+            assert block["spread_time"][f"{kappa:g}"] is None
+        else:
+            assert trajectory_extinction(traj, scn.extinction_threshold) is None
+            assert block["extinction_time"] is None
 
 
 VALUES_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report_values.json")

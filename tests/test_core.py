@@ -169,6 +169,17 @@ def test_validate_trajectory_rejects_defects():
     with pytest.raises(ValueError, match="increasing"):
         validate_trajectory(broken)
 
+    short = Trajectory(
+        t_itu=good.t_itu,
+        s=good.s[:2],
+        i=good.i,
+        p=good.p,
+        params=params,
+        source=good.source,
+    )
+    with pytest.raises(ValueError, match="mismatched lengths"):
+        validate_trajectory(short)
+
     leaky = Trajectory(
         t_itu=good.t_itu,
         s=good.s + 1.0,

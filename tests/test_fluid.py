@@ -172,6 +172,11 @@ def test_p2p_gamma2_frozen_peak_and_dieout(codered_p2p_g2):
     assert t[below[0]] == pytest.approx(9.818, abs=1e-2)
 
 
+def test_p2p_closed_form_rejects_negative_time(codered_p2p_g1):
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        fluid.closed_form_p2p(np.array([0.0, -0.1]), codered_p2p_g1)
+
+
 def test_p2p_long_time_underflow_is_zero(codered_p2p_g2):
     # far beyond die-out the denominator overflows; the value is a clean 0
     assert fluid.closed_form_p2p(400.0, codered_p2p_g2) == 0.0
@@ -277,3 +282,29 @@ def test_scalar_t_gives_the_array_calls_value():
                     assert value == array[k], (call, params, tk, value, array[k])
                     checked += 1
     assert checked == 1600 * 5 * 5
+
+
+@pytest.mark.parametrize(
+    "defense,n_hosts,i0,p_bar,gamma",
+    [
+        (DefenseKind.PEER_TO_PEER, 14038, 961, 1012, 1.034829254546856),
+        (DefenseKind.FIXED_SERVERS, 99454, 2590, 335, 1.54239672692193),
+    ],
+    ids=["p2p", "fixed_servers"],
+)
+def test_closed_form_trajectory_folds_negative_susceptibles(defense, n_hosts, i0, p_bar, gamma):
+    # Float residue makes N - I - P dip a few 1e-12 below zero on these grids;
+    # validate_trajectory's 1e-9 * N slack would pass that, so S >= 0 is
+    # checked directly.
+    params = ScenarioParams(n_hosts=n_hosts, virulence=1.0, i0=i0, defense=defense,
+                            gamma=gamma, p_bar=p_bar)
+    if defense is DefenseKind.PEER_TO_PEER:
+        t = np.linspace(0.0, 60.0, 400)
+        raw = n_hosts - fluid.closed_form_p2p(t, params) - fluid.closed_form_p2p_patch(t, params)
+    else:
+        t = np.linspace(0.0, fluid.fixed_validity_window(params), 400)
+        raw = n_hosts - fluid.closed_form_fixed(t, params) - (p_bar + gamma * p_bar * t)
+    assert raw.min() < 0.0
+    traj = fluid.closed_form_trajectory(params, t)
+    assert traj.s.min() == 0.0
+    np.testing.assert_array_equal(traj.s[raw < 0.0], 0.0)

@@ -92,8 +92,7 @@ def test_p2p_peak_infected_gamma2(codered_p2p_g2):
 
 @pytest.mark.parametrize("gamma", [1.0, 0.8, 0.5])
 def test_p2p_peak_infected_needs_supercritical_gamma(codered_p2p_g1, gamma):
-    with pytest.raises(ValueError, match="gamma_le_one"):
-        p2p_peak_infected(dataclasses.replace(codered_p2p_g1, gamma=gamma))
+    assert p2p_peak_infected(dataclasses.replace(codered_p2p_g1, gamma=gamma)) is None
 
 
 def test_p2p_extinction_time(codered_p2p_g1, codered_p2p_g2):
@@ -199,8 +198,7 @@ def test_trajectory_extinction_edge_cases(codered_nopatch):
         t_itu=t, s=codered_nopatch.n_hosts - high, i=high, p=np.zeros_like(t),
         params=codered_nopatch, source=TrajectorySource.CLOSED_FORM,
     )
-    with pytest.raises(ValueError, match="never_extinct"):
-        trajectory_extinction(alive, threshold=5.0)
+    assert trajectory_extinction(alive, threshold=5.0) is None
     with pytest.raises(ValueError, match="positive"):
         trajectory_extinction(alive, threshold=0.0)
 
@@ -209,10 +207,11 @@ def test_trajectory_spread_time(codered_nopatch):
     traj = integrate(codered_nopatch, IntegratorConfig(t_end_itu=16.0))
     measured = trajectory_spread_time(traj, 0.5).itu
     assert measured == pytest.approx(spread_time(codered_nopatch, 0.5).itu, rel=1e-5)
-    with pytest.raises(ValueError, match="never reaches"):
-        trajectory_spread_time(
-            integrate(codered_nopatch, IntegratorConfig(t_end_itu=2.0)), 0.5
-        )
+    early = integrate(codered_nopatch, IntegratorConfig(t_end_itu=2.0))
+    assert trajectory_spread_time(early, 0.5) is None
+    for kappa in (0.0, 1.0):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            trajectory_spread_time(traj, kappa)
 
 
 def test_summarize_fixed_servers(codered_fixed):
