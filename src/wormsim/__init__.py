@@ -17,8 +17,6 @@ from .core import (
     TimeValue,
     Trajectory,
     TrajectorySource,
-    conservation_error,
-    conservation_tolerance,
     initial_state,
     itu_to_wallclock,
     validate_trajectory,
@@ -81,8 +79,6 @@ __all__ = [
     "closed_form_p2p",
     "closed_form_p2p_patch",
     "closed_form_trajectory",
-    "conservation_error",
-    "conservation_tolerance",
     "default_extinction_threshold",
     "detection_sim",
     "ensemble",

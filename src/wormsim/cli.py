@@ -559,7 +559,7 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t_itu,t_wallclock,S,I,P\r\n")
-        for start in range(0, len(traj), 65536):  # Python floats for one block of rows
+        for start in range(0, len(traj.t_itu), 65536):  # Python floats for one block of rows
             block = slice(start, start + 65536)
             t_itu = traj.t_itu[block]
             columns = (t_itu, itu_to_wallclock(t_itu, traj.params),

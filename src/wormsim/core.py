@@ -18,10 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-# Conservation tolerance for fluid-model trajectories, expressed as a
-# fraction of N.  Stochastic runs must conserve hosts exactly.
-FLUID_CONSERVATION_TOL = 1e-9
-
 
 class DefenseKind(Enum):
     """Patch dissemination strategy active in a scenario."""
@@ -138,25 +134,6 @@ class Trajectory:
     source: TrajectorySource
     halt_itu: Optional[float] = None
 
-    def __len__(self) -> int:
-        return len(self.t_itu)
-
-    def t_wallclock(self) -> np.ndarray:
-        return itu_to_wallclock(self.t_itu, self.params)
-
-
-def conservation_error(traj: Trajectory) -> float:
-    """Largest deviation of S + I + P from N over the trajectory, in hosts."""
-    total = traj.s + traj.i + traj.p
-    return float(np.max(np.abs(total - traj.params.n_hosts)))
-
-
-def conservation_tolerance(source: TrajectorySource, n_hosts: int) -> float:
-    """Permitted conservation slack: zero for raw stochastic runs."""
-    if source is TrajectorySource.STOCHASTIC_RUN:
-        return 0.0
-    return FLUID_CONSERVATION_TOL * n_hosts
-
 
 def validate_trajectory(traj: Trajectory) -> Trajectory:
     """Assert the structural invariants every produced trajectory obeys; NaN fails each."""
@@ -166,8 +143,10 @@ def validate_trajectory(traj: Trajectory) -> Trajectory:
         raise ValueError("trajectory arrays have mismatched lengths")
     if not (np.isfinite(traj.t_itu).all() and (np.diff(traj.t_itu) > 0.0).all()):
         raise ValueError("trajectory times must be strictly increasing")
-    tol = conservation_tolerance(traj.source, traj.params.n_hosts)
-    err = conservation_error(traj)
+    # Hosts are conserved exactly by a single stochastic run, to 1e-9 N otherwise.
+    n_hosts = traj.params.n_hosts
+    tol = 0.0 if traj.source is TrajectorySource.STOCHASTIC_RUN else 1e-9 * n_hosts
+    err = float(np.max(np.abs(traj.s + traj.i + traj.p - n_hosts)))
     if not err <= tol:
         raise ValueError(
             f"host conservation violated: |S+I+P-N| = {err:g} > tol {tol:g}"

@@ -165,7 +165,7 @@ def trajectory_extinction(
     """
     if threshold is None:
         threshold = default_extinction_threshold(traj.params)
-    if threshold <= 0.0:
+    if not threshold > 0.0:  # NaN too
         raise ValueError("threshold must be positive")
     above = np.nonzero(traj.i >= threshold)[0]
     if len(above) == 0:

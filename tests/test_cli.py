@@ -25,7 +25,7 @@ from wormsim.cli import (
     parse_virulence,
     resolve_scenario,
 )
-from wormsim.core import Trajectory, TrajectorySource
+from wormsim.core import Trajectory, TrajectorySource, itu_to_wallclock
 from wormsim.fluid import fixed_validity_window
 from wormsim.metrics import trajectory_extinction, trajectory_spread_time
 from wormsim.scenarios import builtin_names, builtin_scenario
@@ -680,7 +680,7 @@ def test_single_stochastic_run_writes_simulate(name, tmp_path):
     traj = simulate(scn.params, scn.stochastic)
     with open(out / f"{name}_stochastic.csv") as fh:
         columns = np.array(list(csv.reader(fh))[1:], dtype=float).T
-    expected = (traj.t_itu, traj.t_wallclock(), traj.s, traj.i, traj.p)
+    expected = (traj.t_itu, itu_to_wallclock(traj.t_itu, traj.params), traj.s, traj.i, traj.p)
     for column, values in zip(columns, expected):
         assert np.array_equal(column, values)
 
@@ -698,7 +698,8 @@ def test_trajectory_csv_matches_csv_writer(tmp_path):
     with open(tmp_path / "stdlib.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_itu", "t_wallclock", "S", "I", "P"])
-        writer.writerows(zip(values.tolist(), traj.t_wallclock().tolist(), traj.s.tolist(),
+        wallclock = itu_to_wallclock(traj.t_itu, traj.params)
+        writer.writerows(zip(values.tolist(), wallclock.tolist(), traj.s.tolist(),
                              traj.i.tolist(), traj.p.tolist()))
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "stdlib.csv").read_bytes()
 

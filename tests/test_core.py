@@ -16,8 +16,6 @@ from wormsim.core import (
     TimeValue,
     Trajectory,
     TrajectorySource,
-    conservation_error,
-    conservation_tolerance,
     initial_state,
     itu_to_wallclock,
     validate_trajectory,
@@ -127,24 +125,28 @@ def test_trajectory_accessors():
         n_hosts=1000, virulence=2.0, i0=5, defense=DefenseKind.NO_PATCHING
     )
     traj = _toy_trajectory(params)
-    assert len(traj) == 3
-    np.testing.assert_allclose(traj.t_wallclock(), traj.t_itu / 2.0)
+    assert len(traj.t_itu) == 3
+    np.testing.assert_allclose(itu_to_wallclock(traj.t_itu, params), traj.t_itu / 2.0)
     assert traj.halt_itu is None
 
 
-def test_conservation_error_and_tolerance():
+@pytest.mark.parametrize("source", list(TrajectorySource), ids=lambda source: source.value)
+def test_validate_trajectory_conservation_tolerance(source):
+    """A single stochastic run conserves hosts exactly; the others to 1e-9 N."""
     params = ScenarioParams(
         n_hosts=1000, virulence=2.0, i0=5, defense=DefenseKind.NO_PATCHING
     )
-    traj = _toy_trajectory(params)
-    assert conservation_error(traj) == 0.0
-    assert conservation_tolerance(TrajectorySource.STOCHASTIC_RUN, 1000) == 0.0
-    for src in (
-        TrajectorySource.CLOSED_FORM,
-        TrajectorySource.INTEGRATED,
-        TrajectorySource.ENSEMBLE_MEAN,
-    ):
-        assert conservation_tolerance(src, 1000) == pytest.approx(1e-9 * 1000)
+    within = _toy_trajectory(params, source)
+    within.p = within.p + 5e-7
+    if source is TrajectorySource.STOCHASTIC_RUN:
+        with pytest.raises(ValueError, match="host conservation violated"):
+            validate_trajectory(within)
+    else:
+        assert validate_trajectory(within) is within
+    beyond = _toy_trajectory(params, source)
+    beyond.p = beyond.p + 2e-6
+    with pytest.raises(ValueError, match="host conservation violated"):
+        validate_trajectory(beyond)
 
 
 def test_validate_trajectory_passes_clean(codered_nopatch):

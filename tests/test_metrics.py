@@ -1,6 +1,7 @@
 """Analytic response-time predictors and trajectory summary extraction."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from wormsim.core import (
 )
 from wormsim.integrate import IntegratorConfig, integrate
 from wormsim.metrics import (
+    _parabolic_vertex,
     default_extinction_threshold,
     fixed_extinction_time,
     fixed_peak_time,
@@ -172,6 +174,15 @@ def test_trajectory_peak_at_boundary(codered_nopatch):
     assert peak_value == traj.i[-1]
 
 
+def test_parabolic_vertex_degenerate_and_outside_bracket():
+    """trajectory_peak only reaches the helper at an interior maximum; the Nones are its own."""
+    assert _parabolic_vertex(0.0, 1.0, 2.0, 1.0, 1.0, 1.0) is None  # flat: no curvature
+    assert _parabolic_vertex(0.0, 1.0, 2.0, 0.0, 1.0, 1.9) is None  # vertex at t = 10.5
+    t_star, y_star = _parabolic_vertex(0.0, 1.0, 2.0, 0.0, 2.0, 1.0)
+    assert t_star == pytest.approx(7.0 / 6.0, rel=1e-12)
+    assert y_star == pytest.approx(49.0 / 24.0, rel=1e-12)
+
+
 def test_trajectory_extinction_interpolates(codered_nopatch):
     t = np.array([0.0, 1.0, 2.0, 3.0])
     i = np.array([40.0, 20.0, 5.0, 1.0])
@@ -199,8 +210,12 @@ def test_trajectory_extinction_edge_cases(codered_nopatch):
         params=codered_nopatch, source=TrajectorySource.CLOSED_FORM,
     )
     assert trajectory_extinction(alive, threshold=5.0) is None
-    with pytest.raises(ValueError, match="positive"):
-        trajectory_extinction(alive, threshold=0.0)
+    # A NaN threshold is refused too: no sample is >= NaN, which would read as extinct at t = 0.
+    for threshold in (0.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            trajectory_extinction(alive, threshold=threshold)
+        with pytest.raises(ValueError, match="positive"):
+            summarize(alive, threshold)
 
 
 def test_trajectory_spread_time(codered_nopatch):
