@@ -307,7 +307,8 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
 
     The top-level keys are read first, then the params, integrator,
     stochastic and monitors blocks, each with the checks across its keys;
-    a telescope sizing that does not exist is a fault of the monitors block.
+    a fixed-servers window or a telescope sizing that does not exist is a
+    fault of the params or the monitors block, found after the stochastic block.
     """
     top = _read_block(config, _TOP)
     engines = tuple(dict.fromkeys(top["engines"]))
@@ -323,8 +324,6 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
     virulence, time_unit = parse_virulence(raw.pop("virulence"))
     raw["defense"] = DefenseKind(raw["defense"])
     params = _checked("params", ScenarioParams, virulence=virulence, **raw)
-    if params.defense is DefenseKind.FIXED_SERVERS and params.n_hosts <= 2 * params.p_bar:
-        raise ConfigError("params: fixed servers need n_hosts > 2 * p_bar")
     undefended = params.defense is DefenseKind.NO_PATCHING
 
     raw = _read_block(top["integrator"], _INTEGRATOR, "integrator")
@@ -341,7 +340,7 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
     # point, S, I, P per stochastic grid point and run, an undefended run's N - i0 jump
     # times.  Each engine peaks within 1.6x of it, plus a patched run's draw block.  Over
     # 2**28 (2 GiB) is refused: a machine that overcommits would grant it, then run for hours.
-    form_dt, form_end = _closed_form_span(params, integrator)
+    form_dt, form_end = _checked("params", _closed_form_span, params, integrator)
     floats = dict(
         integrate=4 * (integrator.t_end_itu / integrator.dt_itu / integrator.sample_stride + 3),
         closed_form=4 * (form_end / form_dt + 2),

@@ -80,8 +80,11 @@ def fixed_validity_window(params: ScenarioParams) -> float:
     """Horizon (N - 2*p_bar) / (gamma * p_bar) of the fixed-servers closed form.
 
     Beyond this time the linear patch ramp P(t) = p_bar + gamma*p_bar*t
-    underlying the solution would exceed the unpatched population.
+    underlying the solution would exceed the unpatched population; it is
+    empty, and ValueError raised, unless N > 2*p_bar.
     """
+    if params.n_hosts <= 2 * params.p_bar:
+        raise ValueError("fixed servers need n_hosts > 2 * p_bar")
     return (params.n_hosts - 2.0 * params.p_bar) / (params.gamma * params.p_bar)
 
 
@@ -94,11 +97,11 @@ def closed_form_fixed(t, params: ScenarioParams):
     is not S0/I0, so I(0) = I0*(1 - I0/(N - p_bar + I0)) sits an O(I0/N)
     relative offset below I0 (24.99826 for I0 = 25, N = 360000).
 
-    Raises ValueError for t outside [0, window].
+    Raises ValueError for t outside [0, window], NaN too, or no window.
     """
     t = np.asarray(t, dtype=float)
     window = fixed_validity_window(params)
-    if np.any(t < 0.0) or np.any(t > window * (1.0 + 1e-12)):
+    if not np.all(t >= 0.0) or np.any(t > window * (1.0 + 1e-12)):
         raise ValueError(
             f"t outside closed-form validity window [0, {window:g}]"
         )
@@ -134,7 +137,7 @@ def closed_form_p2p(t, params: ScenarioParams):
     far past extinction.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):  # NaN fails too
         raise ValueError("t must be >= 0")
     n = float(params.n_hosts)
     g = params.gamma

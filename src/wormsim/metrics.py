@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory
+from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory, initial_state
 from .fluid import fixed_validity_window
 
 
@@ -56,8 +56,6 @@ def fixed_peak_time(params: ScenarioParams) -> TimeValue:
 def fixed_extinction_time(params: ScenarioParams) -> TimeValue:
     """Time for fixed servers to patch everything: (N - 2*Pb)/(g*Pb), N > 2*Pb."""
     _require_defense(params, DefenseKind.FIXED_SERVERS, "fixed_extinction_time")
-    if params.n_hosts <= 2 * params.p_bar:
-        raise ValueError("fixed_extinction_time needs n_hosts > 2 * p_bar")
     return TimeValue.from_itu(fixed_validity_window(params), params)
 
 
@@ -101,8 +99,8 @@ def p2p_extinction_time(params: ScenarioParams) -> TimeValue:
 
 
 def default_extinction_threshold(params: ScenarioParams) -> float:
-    """Host level below which the infection counts as finished: max(Pb, 1)."""
-    return float(max(params.p_bar, 1))
+    """Host level below which the infection counts as finished: max(initial P, 1)."""
+    return max(initial_state(params)[2], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
     if not _is_count(monitors) or monitors < 1:
         raise ValueError("monitors must be an integer >= 1")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):  # NaN fails too
         raise ValueError("t must be >= 0")
     frac = params.i0 / params.n_hosts
     log_a = np.maximum(np.logaddexp(math.log1p(-frac), math.log(frac) + t), 0.0)

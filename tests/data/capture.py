@@ -1,6 +1,6 @@
-"""Rebuild the CLI golden files in this directory from the code under src/.
+"""Rebuild the CLI and demo golden files in this directory from the code under src/.
 
-    python tests/data/capture.py           # rewrite all three files
+    python tests/data/capture.py           # rewrite all four files
     python tests/data/capture.py --check   # print each changed leaf; exit 1 on any
 
 ``compare_builtins.json`` maps each built-in to the exit code and stdout
@@ -8,10 +8,11 @@ of ``wormsim compare`` on it, ``cli_variants.json`` maps each case of
 ``VARIANTS`` to its report.json (less the environment block) and its
 compare output, and ``report_values.json`` maps each built-in to the
 report.json (less the environment block) of ``wormsim run`` with the
-arguments and seed behind ``perfbench/reference.json``'s digests.  All
-are built with the same helpers and arguments that
-``tests/test_cli.py`` asserts with, so a rebuild at an unchanged tree
-writes the same bytes.  Re-pin a golden only for a deliberate change,
+arguments and seed behind ``perfbench/reference.json``'s digests, and
+``demo_outputs.json`` maps each script in ``demos/`` to its stdout.  All
+are built with the same helpers and arguments that ``tests/test_cli.py``
+and ``tests/test_demos.py`` assert with, so a rebuild at an unchanged
+tree writes the same bytes.  Re-pin a golden only for a deliberate change,
 and show that change with ``--check`` first: it prints each changed leaf's
 path, old and new value, and for a number its relative change.
 """
@@ -30,6 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import test_cli  # noqa: E402  (found through the path above)
+import test_demos  # noqa: E402
 
 
 class _Capture:
@@ -65,10 +67,16 @@ def report_values(capsys) -> dict:
                 for name in test_cli.builtin_names()}
 
 
+def demo_outputs(capsys) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {demo.stem: test_demos.demo_stdout(demo, tmp) for demo in test_demos.DEMOS}
+
+
 GOLDENS = {
     test_cli.COMPARE_GOLDEN: compare_builtins,
     test_cli.VARIANTS_GOLDEN: cli_variants,
     test_cli.VALUES_GOLDEN: report_values,
+    test_demos.DEMO_GOLDEN: demo_outputs,
 }
 
 

@@ -627,6 +627,19 @@ def test_unreached_quantity_is_none_in_library_and_null_in_report(case, tmp_path
             assert block["extinction_time"] is None
 
 
+def test_undefended_extinction_threshold_ignores_p_bar(tmp_path):
+    # An undefended run starts with no host patched, whatever p_bar says:
+    # its default threshold is 1 host, and a worm that never dies out has
+    # no extinction time, not one at t = 0.
+    argv = ["run", "--config", "codered-nopatch", "--set", "params.p_bar=1000000"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    engines = _report_values(tmp_path)["engines"]
+    assert sorted(engines) == ["closed_form", "integrate"]
+    for block in engines.values():
+        assert block["extinction_threshold"] == 1.0
+        assert block["extinction_time"] is None
+
+
 VALUES_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "report_values.json")
 
 

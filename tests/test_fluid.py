@@ -131,6 +131,8 @@ def test_fixed_closed_form_domain(codered_fixed):
         fluid.closed_form_fixed(win + 0.1, codered_fixed)
     with pytest.raises(ValueError):
         fluid.closed_form_fixed(-0.1, codered_fixed)
+    with pytest.raises(ValueError, match="window"):
+        fluid.closed_form_fixed(np.nan, codered_fixed)
 
 
 # --- peer-to-peer closed forms ------------------------------------------
@@ -175,6 +177,8 @@ def test_p2p_gamma2_frozen_peak_and_dieout(codered_p2p_g2):
 def test_p2p_closed_form_rejects_negative_time(codered_p2p_g1):
     with pytest.raises(ValueError, match="t must be >= 0"):
         fluid.closed_form_p2p(np.array([0.0, -0.1]), codered_p2p_g1)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        fluid.closed_form_p2p(np.nan, codered_p2p_g1)
 
 
 def test_p2p_long_time_underflow_is_zero(codered_p2p_g2):

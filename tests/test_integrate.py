@@ -16,7 +16,9 @@ from wormsim.core import (
     validate_trajectory,
 )
 from wormsim.integrate import IntegratorConfig, integrate
+from wormsim.metrics import fixed_extinction_time
 from wormsim.scenarios import BUILTIN_SCENARIOS, builtin_names
+from wormsim.stochastic import StochasticConfig, simulate
 
 
 # --- configuration ------------------------------------------------------
@@ -185,6 +187,21 @@ def test_kernel_step_equals_rhs_step(request, fixture):
         assert _state(traj, k + 1) == step, f"step {k + 1}"
         tied += 1
     assert tied > 30
+
+
+def test_no_fixed_window_raises_one_message_while_engines_run(saturated_fixed):
+    # N <= 2 * p_bar leaves the closed form and its extinction law no
+    # window, and fixed_validity_window says so for each of them; RK4 and
+    # the event loop model the capped workforce there and run.
+    for traj in (integrate(saturated_fixed, IntegratorConfig(t_end_itu=5.0)),
+                 simulate(saturated_fixed, StochasticConfig(t_end_itu=5.0, seed=1))):
+        assert validate_trajectory(traj).p[-1] > traj.p[0]
+    for call in (fluid.fixed_validity_window,
+                 lambda params: fluid.closed_form_fixed(0.0, params),
+                 lambda params: fluid.closed_form_trajectory(params, [0.0]),
+                 fixed_extinction_time):
+        with pytest.raises(ValueError, match=r"^fixed servers need n_hosts > 2 \* p_bar$"):
+            call(saturated_fixed)
 
 
 def test_diverging_state_raises_at_first_bad_step(codered_p2p_g2):

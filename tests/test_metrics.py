@@ -144,6 +144,9 @@ def test_default_extinction_threshold(codered_nopatch, codered_fixed, codered_p2
     assert default_extinction_threshold(codered_nopatch) == 1.0
     assert default_extinction_threshold(codered_fixed) == 25.0
     assert default_extinction_threshold(codered_p2p_g1) == 10.0
+    # without patching no host starts patched, whatever p_bar says
+    undefended = dataclasses.replace(codered_nopatch, p_bar=10)
+    assert default_extinction_threshold(undefended) == 1.0
 
 
 # --- trajectory measurements --------------------------------------------

@@ -36,6 +36,8 @@ def test_expected_scans_vectorized(slammer):
     assert np.all(np.diff(out) > 0)
     with pytest.raises(ValueError):
         expected_scans(-0.5, slammer, 10)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        expected_scans(np.array([1.0, np.nan]), slammer, 10)
 
 
 def test_monitors_for_detection_slammer_deadline(slammer):
