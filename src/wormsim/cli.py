@@ -282,7 +282,7 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name) or "scenario"
 
 
-def _monitoring_json(params: ScenarioParams, time_unit: str, deadline, count) -> dict:
+def _monitoring_json(params: ScenarioParams, deadline, count) -> dict:
     """Telescope sizing for the report; ValueError where a size does not exist."""
     block = {
         "thumb_rule_monitors": {
@@ -292,7 +292,7 @@ def _monitoring_json(params: ScenarioParams, time_unit: str, deadline, count) ->
     }
     if deadline is not None:
         required = monitors_for_detection(params, deadline)
-        block.update(deadline=_time_json(params, time_unit, deadline),
+        block.update(deadline=TimeValue.from_itu(deadline, params),
                      required_monitors=required,
                      expected_scans_with_required=expected_scans(deadline, params, required))
     if count is not None:
@@ -370,7 +370,7 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
         if count is not None and not 1 <= count <= params.n_hosts:
             raise ConfigError("monitors.count must be an integer in [1, n_hosts] "
                               f"(got {reprlib.repr(count)})")
-        monitoring = _checked("monitors", _monitoring_json, params, time_unit, deadline, count)
+        monitoring = _checked("monitors", _monitoring_json, params, deadline, count)
 
     top.update(params=params, integrator=integrator, stochastic=stochastic,
                extinction_threshold=threshold, monitoring=monitoring)
@@ -427,48 +427,31 @@ def run_engine(scn: ResolvedScenario, engine: str):
         raise NumericalError(f"engine {engine}: {exc}") from exc
 
 
-def _report_json(unit: str, leaf):
-    """A quantity as report.json holds it: a TimeValue as {itu, wallclock,
-    unit}, a dict key by key, and a count, a None or any other value as is."""
-    if isinstance(leaf, dict):
-        return {key: _report_json(unit, value) for key, value in leaf.items()}
-    if isinstance(leaf, TimeValue):
-        return {"itu": leaf.itu, "wallclock": leaf.wallclock, "unit": unit}
-    return leaf
-
-
-def _time_json(params: ScenarioParams, unit: str, t_itu: Optional[float]) -> Optional[dict]:
-    """A plain ITU float, such as a halt or a deadline, rendered as a time."""
-    return None if t_itu is None else _report_json(unit, TimeValue.from_itu(float(t_itu), params))
-
-
 # The keys of the quantities that an engine block and the analytic block share.
 _QUANTITIES = ("peak_time", "peak_infected", "extinction_time", "spread_time")
 
 
 def _compare_names(block: dict) -> dict:
-    """{compare-table name: value} of the quantities of a report block, with
-    times in ITU: a time key gains "_itu", so block["spread_time"]["0.5"]["itu"]
-    is "spread_time_itu(kappa=0.5)".  Other keys of the block are left out."""
+    """{compare-table name: value} of a report block's quantities, times in ITU:
+    a time key gains "_itu" and a dict leaf is a kappa map, so the block's
+    ["spread_time"]["0.5"].itu is "spread_time_itu(kappa=0.5)"; no other key is named."""
     named = {}
     for key, leaf in block.items():
         if key not in _QUANTITIES:
             continue
         name = f"{key}_itu" if key.endswith("_time") else key
-        labelled = isinstance(leaf, dict) and "itu" not in leaf  # {kappa label: time}
-        for label, value in (leaf.items() if labelled else [(None, leaf)]):
+        for label, value in (leaf.items() if isinstance(leaf, dict) else [(None, leaf)]):
             named[name if label is None else f"{name}(kappa={label})"] = (
-                value["itu"] if isinstance(value, dict) else value)
+                value.itu if isinstance(value, TimeValue) else value)
     return named
 
 
 def _predictions(scn: ResolvedScenario) -> dict:
-    """The report's analytic block: the analytic quantities as report.json holds
-    them, and beside each with no predictor (None) a "<key>_note" that says why."""
+    """The report's analytic block: the analytic quantities, and beside each
+    with no predictor (None) a "<key>_note" that says why."""
     params = scn.params
     if params.defense is DefenseKind.NO_PATCHING:
-        return _report_json(scn.time_unit, {"spread_time": {
-            f"{kappa:g}": spread_time(params, kappa) for kappa in scn.kappa}})
+        return {"spread_time": {f"{kappa:g}": spread_time(params, kappa) for kappa in scn.kappa}}
     if params.defense is DefenseKind.FIXED_SERVERS:
         peak, extinction = fixed_peak_time(params), fixed_extinction_time(params)
         infected, notes = None, {"peak_infected_note": "n/a (order-of-N scaling only)"}
@@ -476,8 +459,7 @@ def _predictions(scn: ResolvedScenario) -> dict:
         peak, extinction = p2p_peak_time(params), p2p_extinction_time(params)
         infected = p2p_peak_infected(params)
         notes = {} if infected is not None else {"peak_infected_note": "n/a (gamma <= 1)"}
-    return _report_json(scn.time_unit, {"peak_time": peak, "peak_infected": infected,
-                                        "extinction_time": extinction, **notes})
+    return dict(peak_time=peak, peak_infected=infected, extinction_time=extinction, **notes)
 
 
 def evaluate(scn: ResolvedScenario) -> tuple:
@@ -487,16 +469,17 @@ def evaluate(scn: ResolvedScenario) -> tuple:
 
     An engine's quantities take the keys and shape of ``_predictions``.  Times
     are compared in ITU; the wallclock ratio is identical.  A quantity with no
-    predictor, or whose analytic value is 0, gets no relative error.
+    predictor, or whose analytic value is 0, gets no relative error.  The report
+    holds each time as a TimeValue; the text holds it as {itu, wallclock, unit}.
     """
     trajectories, measured = {}, {}
     for engine in scn.engines:
         traj, extras = run_engine(scn, engine)
         trajectories[engine] = traj
+        halt = None if traj.halt_itu is None else TimeValue.from_itu(traj.halt_itu, scn.params)
         measured[engine] = dict(
-            _report_json(scn.time_unit, summarize(traj, scn.extinction_threshold, scn.kappa)),
-            extinction_threshold=scn.extinction_threshold, samples=len(traj.t_itu),
-            halt=_time_json(scn.params, scn.time_unit, traj.halt_itu))
+            summarize(traj, scn.extinction_threshold, scn.kappa),
+            extinction_threshold=scn.extinction_threshold, samples=len(traj.t_itu), halt=halt)
         if extras:
             measured[engine]["stochastic"] = extras
     analytic = _predictions(scn)
@@ -508,8 +491,9 @@ def evaluate(scn: ResolvedScenario) -> tuple:
                 errors.setdefault(engine, {})[name] = (
                     abs(named[name] - reference) / abs(reference))
     report = build_report(scn, measured, analytic, errors)
-    try:  # before any file is written
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    try:  # before any file is written; the hook renders each TimeValue of the report
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=lambda t: {
+            "itu": t.itu, "wallclock": t.wallclock, "unit": scn.time_unit})
     except ValueError as exc:
         raise NumericalError(f"report.json: {exc}") from exc
     return trajectories, report, text

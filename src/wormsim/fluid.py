@@ -143,11 +143,20 @@ def closed_form_p2p(t, params: ScenarioParams):
     g = params.gamma
     pfrac = params.p_bar / n
     a = params.p_bar / (n * n * (1.0 - pfrac))
-    with np.errstate(over="ignore"):
-        egt = np.exp(g * t)
-        b = pfrac + (1.0 - pfrac) * np.exp(-g * t)
-        v = a * egt + 1.0 / n + egt * np.power(b, 1.0 + 1.0 / g) / params.i0
-        return 1.0 / v
+    with np.errstate(over="ignore"):  # egt and b only: the CLI ceiling counts 4 floats a point
+        egt = np.multiply(g, t, out=np.empty_like(t))
+        b = np.negative(egt, out=np.empty_like(t))
+        np.exp(egt, out=egt)
+        np.exp(b, out=b)
+        b *= 1.0 - pfrac
+        b += pfrac
+        np.power(b, 1.0 + 1.0 / g, out=b)
+        b *= egt
+        b /= params.i0  # b is now egt * B^(1 + 1/g) / I0
+        egt *= a
+        egt += 1.0 / n
+        egt += b  # V
+        return np.divide(1.0, egt, out=egt)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,20 @@ def thumb_rule_monitors(n_hosts: int, regime: DefenseKind) -> int:
 
     ceil(N / ln N) for fixed-capacity patching (lead time ~ln N) and
     ceil(N / ln ln N) for peer-to-peer patching (lead time ~ln ln N).
-    Requires an integer n_hosts >= 3 so both logarithms are positive.
+    Requires an integer n_hosts >= 3 so both logarithms are positive; a size
+    above N raises ValueError, as peer-to-peer does for N <= 15 (ln ln N < 1).
     """
     if not _is_count(n_hosts) or n_hosts < 3:
         raise ValueError("n_hosts must be an integer >= 3")
     if regime is DefenseKind.FIXED_SERVERS:
-        return math.ceil(n_hosts / math.log(n_hosts))
-    if regime is DefenseKind.PEER_TO_PEER:
-        return math.ceil(n_hosts / math.log(math.log(n_hosts)))
-    raise ValueError(
-        "no patching regime has no reaction deadline to size a telescope for"
-    )
+        monitors = math.ceil(n_hosts / math.log(n_hosts))
+    elif regime is DefenseKind.PEER_TO_PEER:
+        monitors = math.ceil(n_hosts / math.log(math.log(n_hosts)))
+    else:
+        raise ValueError(
+            "no patching regime has no reaction deadline to size a telescope for"
+        )
+    if monitors > n_hosts:
+        raise ValueError(f"the {regime.value} rule needs {monitors} monitors, "
+                         f"more than the population of {n_hosts}")
+    return monitors

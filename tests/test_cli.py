@@ -2,8 +2,10 @@
 
 import copy
 import csv
+import dataclasses
 import importlib.util
 import json
+import math
 import os
 import random
 import reprlib
@@ -293,6 +295,19 @@ def test_non_finite_report_value_writes_nothing(tmp_path, capsys):
     code = main(["run", "--config", "monitoring-slammer", "--set",
                  "monitors.deadline_itu=1e308", "--out", str(out)])
     assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: report.json: ") and err.count("\n") == 1
+
+
+def test_non_finite_time_leaf_writes_nothing(tmp_path, capsys, monkeypatch):
+    # A NaN halt, the report's only non-finite value, sits in a time leaf that
+    # the json.dumps hook renders: allow_nan=False holds for the leaf too.
+    integrate = cli.integrate
+    monkeypatch.setattr(cli, "integrate", lambda params, config: dataclasses.replace(
+        integrate(params, config), halt_itu=math.nan))
+    out = tmp_path / "X"
+    assert main(["run", "--config", "codered-fixed", "--out", str(out)]) == 3
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: report.json: ") and err.count("\n") == 1
@@ -1000,6 +1015,10 @@ CONFIG_ERRORS = [
     # a patch rate past the float range made the p2p peak-time prediction log(0)
     ("patch-rate-infinite", _resolve_with(_fixed, _set("params", gamma=1e308)),
      "params: gamma * p_bar must be finite"),
+    # the report's peer-to-peer thumb-rule telescope would outnumber 10 hosts
+    ("monitors-thumb-rule-past-population",
+     _resolve_with(_set("params", n_hosts=10, i0=1), _set("monitors", count=5)),
+     "monitors: the peer_to_peer rule needs 12 monitors, more than the population of 10"),
 ]
 
 

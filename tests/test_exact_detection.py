@@ -185,7 +185,7 @@ def test_builtin_required_monitors_detect_by_deadline_at_least_half_the_time(
     scn = resolve_scenario(load_config(name))
     sizing = scn.monitoring
     assert sizing["required_monitors"] == monitors
-    deadline = sizing["deadline"]["itu"]
+    deadline = sizing["deadline"].itu
     hit = _sized_hit_probability(scn.params.n_hosts, monitors, deadline)
     assert hit == pytest.approx(exact, abs=1e-10)
     assert hit >= 0.5

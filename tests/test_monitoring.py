@@ -89,6 +89,11 @@ def test_thumb_rule_domain():
         thumb_rule_monitors(2, DefenseKind.FIXED_SERVERS)
     with pytest.raises(ValueError):
         thumb_rule_monitors(85000, DefenseKind.NO_PATCHING)
+    # Below N = 16, ln ln N < 1 and the peer-to-peer size would exceed N.
+    with pytest.raises(ValueError, match="needs 16 monitors, more than the population of 15"):
+        thumb_rule_monitors(15, DefenseKind.PEER_TO_PEER)
+    assert thumb_rule_monitors(16, DefenseKind.PEER_TO_PEER) == 16
+    assert thumb_rule_monitors(3, DefenseKind.FIXED_SERVERS) == 3
 
 
 @pytest.mark.parametrize("monitors", [-7, 0, 10.5, True, 2.0])
