@@ -45,6 +45,7 @@ from .metrics import (
     trajectory_spread_time,
 )
 from .monitoring import (
+    detection_probability,
     expected_scans,
     monitors_for_detection,
     thumb_rule_monitors,
@@ -80,6 +81,7 @@ __all__ = [
     "closed_form_p2p_patch",
     "closed_form_trajectory",
     "default_extinction_threshold",
+    "detection_probability",
     "detection_sim",
     "ensemble",
     "expected_scans",

@@ -94,6 +94,20 @@ def _is_positive(value) -> bool:
     return real and 0.0 < value < np.inf
 
 
+def _times(t):
+    """t as a float array (0-d for a scalar); ValueError unless every t >= 0, NaN too."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0.0):
+        raise ValueError("t must be >= 0")
+    return t
+
+
+def _require_defense(params: ScenarioParams, kind: DefenseKind, what: str) -> None:
+    """Require the defense a function is for."""
+    if params.defense is not kind:
+        raise ValueError(f"{what} applies to {kind.value} scenarios only")
+
+
 def initial_state(params: ScenarioParams) -> tuple[float, float, float]:
     """Host counts (S, I, P) at t = 0: (N - I0 - P0, I0, P0), P0 = 0 unpatched."""
     p0 = float(params.p_bar) if params.defense is not DefenseKind.NO_PATCHING else 0.0

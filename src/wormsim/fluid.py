@@ -17,15 +17,15 @@ No patching is mass-action patching at rate 0.  The RK4 kernel in
 ties its steps to ``rhs`` bit for bit), so these rates get integrated.
 
 Each model has a closed-form solution for I(t) (and P(t) for the
-peer-to-peer patch sigmoid), in overflow-safe form, taking a scalar or
-array t and returning what numpy returns (a float64 for a scalar t).
+peer-to-peer patch sigmoid), in overflow-safe form: a scalar or array t
+gives what numpy returns (float64 for a scalar); a t < 0 or NaN raises ValueError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DefenseKind, ScenarioParams, Trajectory, TrajectorySource
+from .core import DefenseKind, ScenarioParams, Trajectory, TrajectorySource, _times
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def _logistic(t, x0, n, rate):
     large t saturates cleanly at n instead of overflowing.
     """
     frac = x0 / n
-    return x0 / (frac + (1.0 - frac) * np.exp(-rate * np.asarray(t, dtype=float)))
+    return x0 / (frac + (1.0 - frac) * np.exp(-rate * _times(t)))
 
 
 def closed_form_no_patch(t, params: ScenarioParams):
@@ -136,9 +136,7 @@ def closed_form_p2p(t, params: ScenarioParams):
     overflow to inf and the returned infection level underflows to 0.0,
     far past extinction.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0.0):  # NaN fails too
-        raise ValueError("t must be >= 0")
+    t = _times(t)
     n = float(params.n_hosts)
     g = params.gamma
     pfrac = params.p_bar / n

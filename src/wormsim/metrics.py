@@ -16,13 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import DefenseKind, ScenarioParams, TimeValue, Trajectory, initial_state
+from .core import _require_defense
 from .fluid import fixed_validity_window
-
-
-def _require_defense(params: ScenarioParams, kind: DefenseKind, what: str) -> None:
-    """Require the defense a predictor is for."""
-    if params.defense is not kind:
-        raise ValueError(f"{what} applies to {kind.value} scenarios only")
 
 
 # ---------------------------------------------------------------------------

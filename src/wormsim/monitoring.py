@@ -20,7 +20,13 @@ import math
 
 import numpy as np
 
-from .core import DefenseKind, ScenarioParams, _is_count, _is_positive
+from .core import DefenseKind, ScenarioParams, _is_count, _is_positive, _times
+
+
+def _check_monitors(params: ScenarioParams, monitors: int) -> None:
+    """ValueError unless monitors is an integer, not a bool, in [1, n_hosts]."""
+    if not _is_count(monitors) or not 1 <= monitors <= params.n_hosts:
+        raise ValueError("monitors must be an integer in [1, n_hosts]")
 
 
 def expected_scans(t, params: ScenarioParams, monitors: int):
@@ -31,17 +37,29 @@ def expected_scans(t, params: ScenarioParams, monitors: int):
     with ``monitors`` can still pass the float range, and is then inf, with
     no warning.  Near t = 0 the log-sum can round below 0; it is then taken
     as 0, so the result is never negative.  t may be an array; a scalar
-    gives a float64.  Raises ValueError unless ``monitors`` is an integer >= 1.
+    gives a float64.  Raises ValueError unless t >= 0 and monitors is in [1, N].
     """
-    if not _is_count(monitors) or monitors < 1:
-        raise ValueError("monitors must be an integer >= 1")
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0.0):  # NaN fails too
-        raise ValueError("t must be >= 0")
+    _check_monitors(params, monitors)
+    t = _times(t)
     frac = params.i0 / params.n_hosts
     log_a = np.maximum(np.logaddexp(math.log1p(-frac), math.log(frac) + t), 0.0)
     with np.errstate(over="ignore"):
         return monitors * log_a
+
+
+def detection_probability(t, params: ScenarioParams, monitors: int):
+    """Upper bound on the chance that the telescope is hit by ITU time t.
+
+    1 - [(1 + theta) / (1 + theta e^((1 + theta) t))]^I0, theta = M/N, exact
+    for a Yule chain (birth rate k, hit rate theta k); the undefended chain's
+    birth rate k (N - k) / N is lower, so it is hit no sooner.  In log form.
+    """
+    _check_monitors(params, monitors)
+    t = _times(t)
+    theta = monitors / params.n_hosts
+    log_theta = math.log(theta)  # both logaddexps round alike, so P(0) is +0.0
+    log_miss = np.logaddexp(0.0, log_theta) - np.logaddexp(0.0, log_theta + (1.0 + theta) * t)
+    return 0.0 - np.expm1(params.i0 * log_miss)
 
 
 def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> int:

@@ -64,8 +64,10 @@ from .core import (
     TrajectorySource,
     _is_count,
     _is_positive,
+    _require_defense,
     initial_state,
 )
+from .monitoring import _check_monitors
 
 
 @dataclass(frozen=True)
@@ -310,15 +312,6 @@ def ensemble(params: ScenarioParams, config: StochasticConfig) -> EnsembleResult
 # Network-telescope detection runs
 # ---------------------------------------------------------------------------
 
-def _check_monitors(params: ScenarioParams, monitors: int) -> None:
-    if params.defense is not DefenseKind.NO_PATCHING:
-        raise ValueError("detection runs model the undefended worm only")
-    if not _is_count(monitors):
-        raise ValueError("monitors must be an integer")
-    if not 1 <= monitors <= params.n_hosts:
-        raise ValueError("monitors must satisfy 1 <= monitors <= n_hosts")
-
-
 def _segments(jumps: np.ndarray, i0: int):
     """Segments of I along a trimmed jump path: each one's start (0, then
     each jump), the level of I on it, and the integral of I up to its start."""
@@ -339,6 +332,7 @@ def detection_sim(
     inverting the cumulative hazard along the simulated infection path.
     Runs with no hit before the horizon report inf.
     """
+    _require_defense(params, DefenseKind.NO_PATCHING, "detection_sim")
     _check_monitors(params, monitors)
     c = monitors / params.n_hosts
     t_end = config.t_end_itu
@@ -364,6 +358,7 @@ def monitor_scan_counts(
     counts over disjoint intervals are independent Poisson variables
     with mean equal to the hazard increment, sampled exactly.
     """
+    _require_defense(params, DefenseKind.NO_PATCHING, "monitor_scan_counts")
     _check_monitors(params, monitors)
     grid = _grid(config)
     c = monitors / params.n_hosts

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from wormsim.core import DefenseKind, ScenarioError
+from wormsim import fluid
+from wormsim.core import DefenseKind, ScenarioError, ScenarioParams
 from wormsim.monitoring import (
+    detection_probability,
     expected_scans,
     monitors_for_detection,
     thumb_rule_monitors,
 )
+from wormsim.stochastic import StochasticConfig, detection_sim, monitor_scan_counts
 
 
 def test_expected_scans_matches_direct_formula(slammer):
@@ -38,6 +41,20 @@ def test_expected_scans_vectorized(slammer):
         expected_scans(-0.5, slammer, 10)
     with pytest.raises(ValueError, match="t must be >= 0"):
         expected_scans(np.array([1.0, np.nan]), slammer, 10)
+
+
+def test_detection_probability_matches_direct_formula(slammer):
+    m = 8213
+    theta = m / 85000
+    for t in (0.5, 2.42, 6.0):
+        direct = 1.0 - ((1.0 + theta) / (1.0 + theta * math.exp((1.0 + theta) * t))) ** slammer.i0
+        assert detection_probability(t, slammer, m) == pytest.approx(direct, rel=1e-12)
+    # +0.0 at t = 0 for every size, not -0.0 or a rounding residue of either sign
+    zero = [detection_probability(0.0, slammer, size) for size in range(1, 85000, 997)]
+    assert all(z == 0.0 and math.copysign(1.0, z) == 1.0 for z in zero)
+    # rising to 1.0 at a t whose exponential overflows, with no warning
+    out = detection_probability(np.array([0.0, 1.0, 2.0, 5000.0]), slammer, m)
+    assert np.all(np.diff(out) > 0.0) and out[-1] == 1.0
 
 
 def test_monitors_for_detection_slammer_deadline(slammer):
@@ -144,3 +161,56 @@ def test_empirical_detection_median_beats_p2p_deadline(slammer):
     cfg = StochasticConfig(t_end_itu=deadline, seed=0, runs=5000)
     times = detection_sim(slammer, thumb, cfg)
     assert float(np.mean(times <= deadline)) >= 0.5
+
+
+# --- argument rules: one owner each, the same refusal everywhere --------
+
+_N = 1000
+_UNDEFENDED = ScenarioParams(n_hosts=_N, virulence=1.0, i0=5, defense=DefenseKind.NO_PATCHING)
+_FIXED = ScenarioParams(n_hosts=_N, virulence=1.0, i0=5, defense=DefenseKind.FIXED_SERVERS,
+                        gamma=2.0, p_bar=10)
+_P2P = ScenarioParams(n_hosts=_N, virulence=1.0, i0=5, defense=DefenseKind.PEER_TO_PEER,
+                      gamma=2.0, p_bar=10)
+_TIMED = {
+    "closed_form_no_patch": lambda t: fluid.closed_form_no_patch(t, _UNDEFENDED),
+    "closed_form_fixed": lambda t: fluid.closed_form_fixed(t, _FIXED),
+    "closed_form_p2p": lambda t: fluid.closed_form_p2p(t, _P2P),
+    "closed_form_p2p_patch": lambda t: fluid.closed_form_p2p_patch(t, _P2P),
+    "trajectory_no_patching": lambda t: fluid.closed_form_trajectory(_UNDEFENDED, t),
+    "trajectory_fixed_servers": lambda t: fluid.closed_form_trajectory(_FIXED, t),
+    "trajectory_peer_to_peer": lambda t: fluid.closed_form_trajectory(_P2P, t),
+    "expected_scans": lambda t: expected_scans(t, _UNDEFENDED, 10),
+    "detection_probability": lambda t: detection_probability(t, _UNDEFENDED, 10),
+}
+_SIZED = {
+    "expected_scans": lambda m: expected_scans(1.0, _UNDEFENDED, m),
+    "detection_probability": lambda m: detection_probability(1.0, _UNDEFENDED, m),
+    "detection_sim": lambda m: detection_sim(
+        _UNDEFENDED, m, StochasticConfig(t_end_itu=1.0, seed=0)),
+    "monitor_scan_counts": lambda m: monitor_scan_counts(
+        _UNDEFENDED, m, StochasticConfig(t_end_itu=1.0, seed=0)),
+}
+
+
+@pytest.mark.parametrize("t", [-0.1, math.nan, np.array([0.0, math.nan])],
+                         ids=["negative", "nan", "nan-in-array"])
+@pytest.mark.parametrize("name", sorted(_TIMED))
+def test_every_timed_function_refuses_a_negative_or_nan_time(name, t):
+    with pytest.raises(ValueError):
+        _TIMED[name](t)
+    _TIMED[name](np.array([0.0, 0.5]))  # a valid grid passes
+
+
+@pytest.mark.parametrize("monitors", [0, _N + 1, 2.0, True])
+@pytest.mark.parametrize("name", sorted(_SIZED))
+def test_every_telescope_function_refuses_a_size_outside_one_to_n(name, monitors):
+    with pytest.raises(ValueError, match="monitors"):
+        _SIZED[name](monitors)
+    _SIZED[name](_N)  # the whole population is a valid telescope
+
+
+@pytest.mark.parametrize("call", [detection_sim, monitor_scan_counts])
+def test_detection_runs_name_the_defense_they_refuse(call):
+    message = f"^{call.__name__} applies to no_patching scenarios only$"
+    with pytest.raises(ValueError, match=message):
+        call(_P2P, 10, StochasticConfig(t_end_itu=1.0, seed=0))
