@@ -52,8 +52,9 @@ class ScenarioParams:
         defense: which patching strategy runs alongside the worm.
         gamma: patching rate relative to the worm's infection rate
             (dimensionless in ITU).
-        p_bar: initially patched hosts; for FIXED_SERVERS also the
-            number of patch servers, which caps the patching workforce.
+        p_bar: initially patched hosts, an integer >= 0 (>= 1 when patched;
+            NO_PATCHING ignores it); for FIXED_SERVERS also the number of
+            patch servers, which caps the patching workforce.
 
     Building one (``dataclasses.replace`` too) checks the invariants and
     raises ScenarioError naming the first one violated.
@@ -67,6 +68,8 @@ class ScenarioParams:
     p_bar: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.defense, DefenseKind):
+            raise ScenarioError("defense must be a DefenseKind")
         if not _is_count(self.n_hosts) or self.n_hosts <= 0:
             raise ScenarioError("n_hosts must be a positive integer")
         if not _is_positive(self.virulence):
@@ -78,6 +81,8 @@ class ScenarioParams:
         patched = self.defense is not DefenseKind.NO_PATCHING
         if patched and (not _is_count(self.p_bar) or self.p_bar < 1):
             raise ScenarioError("p_bar must be an integer >= 1 when patching is enabled")
+        if not _is_count(self.p_bar) or self.p_bar < 0:
+            raise ScenarioError("p_bar must be an integer >= 0")
         if patched and not self.gamma * self.p_bar < np.inf:  # the first patch rate
             raise ScenarioError("gamma * p_bar must be finite")
         if self.i0 + (self.p_bar if patched else 0) >= self.n_hosts:

@@ -52,14 +52,20 @@ def detection_probability(t, params: ScenarioParams, monitors: int):
 
     1 - [(1 + theta) / (1 + theta e^((1 + theta) t))]^I0, theta = M/N, exact
     for a Yule chain (birth rate k, hit rate theta k); the undefended chain's
-    birth rate k (N - k) / N is lower, so it is hit no sooner.  In log form.
+    birth rate k (N - k) / N is lower, so it is hit no sooner.  In log form:
+    with x = (1 + theta) t, the log of the miss chance is
+    -log1p(theta / (1 + theta) * expm1(x)) below x = 1, where a difference
+    of two logs near log(1 + theta) would cancel, and that difference from
+    x = 1 on, where expm1(x) could overflow.
     """
     _check_monitors(params, monitors)
     t = _times(t)
     theta = monitors / params.n_hosts
-    log_theta = math.log(theta)  # both logaddexps round alike, so P(0) is +0.0
-    log_miss = np.logaddexp(0.0, log_theta) - np.logaddexp(0.0, log_theta + (1.0 + theta) * t)
-    return 0.0 - np.expm1(params.i0 * log_miss)
+    x = (1.0 + theta) * t
+    near = -np.log1p(theta / (1.0 + theta) * np.expm1(np.minimum(x, 1.0)))
+    log_theta = math.log(theta)
+    far = np.logaddexp(0.0, log_theta) - np.logaddexp(0.0, log_theta + x)
+    return 0.0 - np.expm1(params.i0 * np.where(x < 1.0, near, far))
 
 
 def monitors_for_detection(params: ScenarioParams, deadline_itu: float) -> int:

@@ -880,6 +880,8 @@ CONFIG_ERRORS = [
      "params.p_bar must be an integer (got 2.5)"),
     ("params-invalid", _resolve_with(_set("params", i0=20000)),
      "params: i0 + p_bar >= n_hosts"),
+    ("p_bar-negative-undefended", _resolve_with(_set("params", p_bar=-5)),
+     "params: p_bar must be an integer >= 0"),
     ("fixed-too-few-hosts",
      _resolve_with(_set("params", defense="fixed_servers", gamma=1.0, p_bar=5000)),
      "params: fixed servers need n_hosts > 2 * p_bar"),

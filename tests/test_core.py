@@ -62,6 +62,14 @@ def test_validate_accepts_and_returns_params(codered_fixed):
         (dict(virulence=None), "virulence"),
         (dict(gamma=[2.0]), "gamma"),
         (dict(gamma=1e308), "gamma \\* p_bar must be finite"),
+        (dict(defense="fixed_servers"), "defense must be a DefenseKind"),
+        (dict(defense=None, n_hosts=0), "defense must be a DefenseKind"),
+        (dict(defense=DefenseKind.NO_PATCHING, p_bar="abc"), "p_bar must be an integer >= 0"),
+        (dict(defense=DefenseKind.NO_PATCHING, p_bar=None), "p_bar must be an integer >= 0"),
+        (dict(defense=DefenseKind.NO_PATCHING, p_bar=2.5), "p_bar must be an integer >= 0"),
+        (dict(defense=DefenseKind.NO_PATCHING, p_bar=-5), "p_bar must be an integer >= 0"),
+        (dict(defense=DefenseKind.NO_PATCHING, p_bar=True), "p_bar must be an integer >= 0"),
+        (dict(p_bar=-5), "p_bar must be an integer >= 1 when patching is enabled"),
     ],
 )
 def test_validate_rejects_bad_params(codered_fixed, overrides, message):

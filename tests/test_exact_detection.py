@@ -1,19 +1,15 @@
 """Exact detection probabilities of the undefended stochastic worm.
 
-Without patching, I is a pure-birth chain: it goes k -> k + 1 at rate
-lambda_k = k (N - k) / N.  A telescope of M monitors is hit at rate
-c k with c = M / N, so the chance of no hit by t is the total mass at t
-of the forward equation with killing,
-
-    d pi_k / dt = lambda_{k-1} pi_{k-1} - (lambda_k + c k) pi_k,
-
-started at pi_{i0} = 1 (Norris, *Markov Chains*, 1997, ch. 2).  The
-solver below integrates it with classical RK4 over the first K states
-from i0; the mass past state K is bounded by the last state's, which
-the tests check is negligible.
+Without patching, I is a pure-birth chain, and the chance of no
+telescope hit by t is the mass of its forward equation with killing;
+exact_chains derives that equation and solves it with classical RK4 over
+the first K states from i0.  The mass past state K is bounded by the
+last state's, which the tests check is negligible.
 """
 
+import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -32,79 +28,7 @@ from wormsim.stochastic import (
     monitor_scan_counts,
 )
 
-
-def _rk4_at(deriv, y, times, dt):
-    """y at each of the increasing times, each segment in equal classical
-    RK4 steps of at most dt."""
-    out, start = [], 0.0
-    for t in times:
-        steps = math.ceil((t - start) / dt)
-        h = (t - start) / steps
-        for _ in range(steps):
-            a = deriv(y)
-            b = deriv(y + h / 2 * a)
-            c = deriv(y + h / 2 * b)
-            d = deriv(y + h * c)
-            y = y + h / 6 * (a + 2 * b + 2 * c + d)
-        out.append(y)
-        start = t
-    return out
-
-
-def _no_hit_mass(n, monitors, times, k_states, dt, i0=1):
-    """Mass of the killed forward equation at each of the increasing times,
-    each segment in equal RK4 steps of at most dt, and the last state's
-    mass at the final time."""
-    k = i0 + np.arange(k_states, dtype=float)
-    birth = k * (n - k) / n
-    leave = birth + monitors / n * k
-
-    def deriv(pi):
-        d = -leave * pi
-        d[1:] += birth[:-1] * pi[:-1]
-        return d
-
-    pi = np.zeros(k_states)
-    pi[0] = 1.0
-    pis = _rk4_at(deriv, pi, times, dt)
-    return np.array([pi.sum() for pi in pis]), pis[-1][-1]
-
-
-def _mean_area(n, times, k_states, dt, i0=1):
-    """The integral of E[I] over [0, t] at each of the increasing times, for
-    the chain without killing, and the last state's mass at the final time.
-    The integral rides along the forward equation as one more state."""
-    k = i0 + np.arange(k_states, dtype=float)
-    birth = k * (n - k) / n
-
-    def deriv(y):
-        pi, d = y[:-1], np.empty_like(y)
-        d[:-1] = -birth * pi
-        d[1:-1] += birth[:-1] * pi[:-1]
-        d[-1] = k @ pi
-        return d
-
-    y = np.zeros(k_states + 1)
-    y[0] = 1.0
-    ys = _rk4_at(deriv, y, times, dt)
-    return np.array([y[-1] for y in ys]), ys[-1][-2]
-
-
-def _moments(n, i0, times, dt):
-    """E[I] and E[I**2] at each of the increasing times, for the whole chain
-    without killing (states i0 to N, so nothing is truncated)."""
-    k = np.arange(i0, n + 1, dtype=float)
-    birth = k * (n - k) / n
-
-    def deriv(pi):
-        d = -birth * pi
-        d[1:] += birth[:-1] * pi[:-1]
-        return d
-
-    pi = np.zeros(len(k))
-    pi[0] = 1.0
-    pis = _rk4_at(deriv, pi, times, dt)
-    return np.array([k @ pi for pi in pis]), np.array([k * k @ pi for pi in pis])
+from exact_chains import mean_area, moments, no_hit_mass
 
 
 # P(first hit <= ln ln N) at the thumb-rule size ceil(N / ln N), from
@@ -118,8 +42,8 @@ def test_thumb_rule_telescope_detects_by_lnln_n_at_least_half_the_time(n):
     # hit by t = ln ln N with probability at least one half.
     monitors = thumb_rule_monitors(n, DefenseKind.FIXED_SERVERS)
     deadline = math.log(math.log(n))
-    coarse, _ = _no_hit_mass(n, monitors, [deadline], 400, 2e-3)
-    fine, tail = _no_hit_mass(n, monitors, [deadline], 800, 1e-3)
+    coarse, _ = no_hit_mass(n, monitors, [deadline], 400, 2e-3)
+    fine, tail = no_hit_mass(n, monitors, [deadline], 800, 1e-3)
     assert abs(coarse[0] - fine[0]) < 1e-9  # converged in K and dt
     assert tail < 1e-30  # no mass left to leak past the truncation
     assert 1.0 - fine[0] == pytest.approx(_EXACT[n], abs=1e-9)
@@ -142,7 +66,7 @@ _SIZED = {
 
 def _sized_hit_probability(n, monitors, deadline):
     """P(first hit <= deadline) from i0 = 1, at (K, dt) = (400, 2e-3)."""
-    no_hit, tail = _no_hit_mass(n, monitors, [deadline], 400, 2e-3)
+    no_hit, tail = no_hit_mass(n, monitors, [deadline], 400, 2e-3)
     assert tail < 1e-15  # the truncation leaks nothing the pinned digits see
     return 1.0 - no_hit[0]
 
@@ -275,7 +199,7 @@ def test_detection_sim_matches_exact_cdf():
     monitors = thumb_rule_monitors(n, DefenseKind.FIXED_SERVERS)
     deadline = math.log(math.log(n))
     times = deadline * np.array([0.25, 0.5, 0.75, 1.0])
-    exact = 1.0 - _no_hit_mass(n, monitors, times, 400, 2e-3)[0]
+    exact = 1.0 - no_hit_mass(n, monitors, times, 400, 2e-3)[0]
     params = ScenarioParams(n_hosts=n, virulence=1.0, i0=1, defense=DefenseKind.NO_PATCHING)
     hits = detection_sim(params, monitors,
                          StochasticConfig(t_end_itu=deadline, seed=10**9, runs=runs))
@@ -304,8 +228,8 @@ def test_scan_counts_match_exact_mean():
                               seed=2 * 10**9, runs=runs)
     grid, counts = monitor_scan_counts(params, monitors, config)
     assert np.array_equal(grid, deadline * np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-    coarse, _ = _mean_area(n, grid[1:], 400, 2e-3)
-    fine, tail = _mean_area(n, grid[1:], 800, 1e-3)
+    coarse, _ = mean_area(n, grid[1:], 400, 2e-3)
+    fine, tail = mean_area(n, grid[1:], 800, 1e-3)
     assert np.all(np.abs(coarse - fine) < 1e-9 * fine)  # converged in K and dt
     assert tail < 1e-30
     exact = monitors / n * fine
@@ -328,8 +252,8 @@ def test_ensemble_mean_matches_exact_mean():
     """
     n, i0, runs = 1000, 10, 4000
     times = np.array([3.0, 6.0, 9.0, 12.0])
-    coarse, _ = _moments(n, i0, times, 4e-3)
-    mean, square = _moments(n, i0, times, 2e-3)
+    coarse, _ = moments(n, i0, times, 4e-3)
+    mean, square = moments(n, i0, times, 2e-3)
     assert np.all(np.abs(coarse - mean) < 1e-9 * mean)  # converged in dt
     params = ScenarioParams(n_hosts=n, virulence=1.0, i0=i0, defense=DefenseKind.NO_PATCHING)
     config = StochasticConfig(t_end_itu=12.0, sample_dt_itu=3.0, seed=3 * 10**9, runs=runs)
@@ -338,3 +262,122 @@ def test_ensemble_mean_matches_exact_mean():
     band = 3.0 * np.sqrt((square - mean**2) / runs)
     sampled = res.mean.i[1:]
     assert np.all(np.abs(sampled - mean) <= band), (sampled, mean, band)
+
+
+
+def _random_telescopes(key, count, n_max, thetas, deadlines):
+    """count seeded draws of (N, i0, M, T): N log-uniform in [10**3, n_max],
+    i0 in {1, 2, 3}, M / N uniform over the range thetas and T over the
+    range deadlines."""
+    rng = np.random.default_rng(key)
+    for _ in range(count):
+        n = round(math.exp(rng.uniform(math.log(1e3), math.log(n_max))))
+        i0 = int(rng.integers(1, 4))
+        monitors = round(rng.uniform(*thetas) * n)
+        yield n, i0, monitors, rng.uniform(*deadlines)
+
+
+def _states_and_step(n, i0, monitors, deadline):
+    """(K, dt) for the exact chain up to the deadline.
+
+    The chain from i0 is below a Yule process, whose level at T is i0 plus
+    a negative binomial with success chance e^(-T), so K = e^T (30 + 5 i0)
+    leaves a last state's mass near e^(-(30 + 5 i0)); the tests assert it
+    below 1e-15.  dt times the largest rate, (i0 + K)(1 + M / N), is at
+    most 1, well inside RK4's stability bound on the real axis, 2.79, and
+    dt is at most the pinned tests' 2e-3.
+    """
+    k_states = math.ceil(math.exp(deadline) * (30 + 5 * i0))
+    return k_states, min(2e-3, 1.0 / ((i0 + k_states) * (1.0 + monitors / n)))
+
+
+def test_detection_probability_bounds_the_exact_chain_at_random_telescopes():
+    """0 <= detection_probability - exact <= (theta / N) [i0 (i0 + 1)
+    (e^T - 1)^2 / 2 - i0 (T e^T - e^T + 1)] at seeded random (N, i0, M, T).
+
+    The gap is the Duhamel integral of
+    test_detection_probability_bounds_the_exact_ladder_from_above, so it
+    is not negative; the lower check allows 1e-12 for the solver, whose
+    error at these K and dt is near 1e-13.  For the upper bound, drop the
+    factors 1{no hit by s} and u(T - s)^I_s, both at most 1.  The chance
+    of a hit within r from one Yule host is at most the expected number of
+    hits, so 1 - u(r) <= theta int_0^r e^s ds = theta (e^r - 1).  The chain
+    is below the Yule process from i0, whose second moment is
+    E[Y_s^2] = i0 (i0 + 1) e^(2s) - i0 e^s.  So
+
+        closed - exact <= (theta / N) int_0^T (i0 (i0 + 1) e^(2s) - i0 e^s)
+                                            (e^(T - s) - 1) ds,
+
+    and the two integrals are (e^T - 1)^2 / 2 and T e^T - e^T + 1.  The
+    draws span N from 1,320 to 19,513, theta = M / N from 0.02 to 0.28 and
+    T from 0.5 to 2.9; the gaps read 0.06 to 0.63 of the bound.  The closed
+    form with theta e^T in place of theta e^((1 + theta) T) falls below
+    the exact P at every draw.
+    """
+    for n, i0, monitors, deadline in _random_telescopes(6 * 10**9, 8, 2e4, (0.02, 0.3),
+                                                        (0.5, 3.0)):
+        params = ScenarioParams(n_hosts=n, virulence=1.0, i0=i0, defense=DefenseKind.NO_PATCHING)
+        no_hit, tail = no_hit_mass(n, monitors, [deadline],
+                                   *_states_and_step(n, i0, monitors, deadline), i0=i0)
+        assert tail < 1e-15
+        gap = float(detection_probability(deadline, params, monitors)) - (1.0 - no_hit[0])
+        growth = math.exp(deadline)
+        bound = monitors / n / n * (i0 * (i0 + 1) * (growth - 1.0) ** 2 / 2.0
+                                    - i0 * (deadline * growth - growth + 1.0))
+        assert -1e-12 <= gap <= bound, (n, i0, monitors, deadline, gap, bound)
+
+
+def _binomial_tails(successes, trials, p):
+    """P(X <= successes) and P(X >= successes) for X ~ Binomial(trials, p)."""
+    j = np.arange(trials + 1)
+    log_factorial = np.cumsum(np.log(np.maximum(j, 1)))
+    pmf = np.exp(log_factorial[-1] - log_factorial - log_factorial[::-1]
+                 + j * math.log(p) + (trials - j) * math.log1p(-p))
+    return pmf[:successes + 1].sum(), pmf[successes:].sum()
+
+
+def test_telescope_samplers_match_the_exact_chain_at_random_telescopes():
+    """detection_sim's CDF and monitor_scan_counts' mean sit in their
+    sampling bands around the exact chain, at T / 4, T / 2, 3T / 4 and T,
+    at seeded random (N, i0, M, T).
+
+    The bands were set before any run, for a family-wise false-failure
+    chance of at most 1% over all 8 D comparisons of the D draws
+    (Bonferroni), so each comparison fails with chance at most
+    alpha = 0.01 / (8 D).  The number of runs hit by t is Binomial(R, P),
+    and its test is the exact two-sided one: it fails when either binomial
+    tail at the observed count is below alpha / 2.  A mean count fails past
+    z(1 - alpha / 2) standard errors, with the sample sd; the draws keep
+    theta = M / N from 0.1 and T from 1, so R times the smallest mean
+    count, at T / 4, is 40 or more (170 at these draws), where the
+    first-order (skewness) errors of the two normal tails cancel.  N is at
+    most 5 10**3, so a run costs little more than its fixed overhead.
+    Levels counted from i0 + 1 in the samplers move the CDF by 3.4 to 11
+    binomial sd at these draws, and the mean count by 5.6 to 12 standard
+    errors, against a band of 3.5.
+    """
+    draws, runs = 3, 1500
+    alpha = 0.01 / (8 * draws)
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    for j, (n, i0, monitors, deadline) in enumerate(
+            _random_telescopes(6 * 10**9 + 1, draws, 5e3, (0.1, 0.3), (1.0, 2.0))):
+        params = ScenarioParams(n_hosts=n, virulence=1.0, i0=i0, defense=DefenseKind.NO_PATCHING)
+        times = deadline * np.array([0.25, 0.5, 0.75, 1.0])
+        solver = _states_and_step(n, i0, monitors, deadline)
+        no_hit, tail = no_hit_mass(n, monitors, times, *solver, i0=i0)
+        area, area_tail = mean_area(n, times, *solver, i0=i0)
+        assert max(tail, area_tail) < 1e-15
+
+        config = StochasticConfig(t_end_itu=deadline, sample_dt_itu=deadline / 4,
+                                  seed=61 * 10**8 + 10**4 * j, runs=runs)
+        hits = detection_sim(params, monitors, config)
+        for t, p in zip(times, 1.0 - no_hit):
+            tails = _binomial_tails(int(np.count_nonzero(hits <= t)), runs, p)
+            assert min(tails) > alpha / 2.0, (n, i0, monitors, deadline, t, p, tails)
+        grid, counts = monitor_scan_counts(
+            params, monitors, dataclasses.replace(config, seed=62 * 10**8 + 10**4 * j))
+        assert np.array_equal(grid[1:], times)
+        exact = monitors / n * area
+        sampled = counts[:, 1:].mean(axis=0)
+        band = z * counts[:, 1:].std(axis=0, ddof=1) / math.sqrt(runs)
+        assert np.all(np.abs(sampled - exact) <= band), (n, i0, monitors, sampled, exact, band)

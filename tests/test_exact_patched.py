@@ -1,25 +1,12 @@
 """Exact laws of the patched stochastic worm at small N.
 
-With patching, the chain's state is (S, I), with P = N - S - I.  From
-(S, I) it moves to
-
-    (S - 1, I + 1)  at rate S I / N                 (an infection),
-    (S - 1, I)      at rate r(S, I) S / (S + I)     (a susceptible patched),
-    (S, I - 1)      at rate r(S, I) I / (S + I)     (an infected patched),
-
-where the total patch rate r is gamma * p_bar while S + I >= p_bar and
-gamma * (S + I) below it for fixed servers, and (gamma / N) (S + I) P
-for peer-to-peer patching.  At N = 100 the forward equation has 5,151
-states, and uniformization (Jensen 1953) solves it exactly: with L at
-least every state's total rate, K = I + Q / L is a stochastic matrix and
-
-    pi(t) = sum_k e^(-L t) (L t)^k / k! * pi(0) K^k,
-
-each term one shifted-array update of the last (Stewart, *Introduction
-to the Numerical Solution of Markov Chains*, 1994, ch. 8).  The tests
-compare the event loop against that law, so a rule that the compiled
-block and the Python ``_block`` share, such as which host a patch lands
-on, is checked against the model and not against another copy of it.
+With patching, the chain's state is (S, I), with P = N - S - I.  At
+N = 100 its forward equation has 5,151 states, and exact_chains.exact_law
+solves it exactly by uniformization (the rates and the method are in
+exact_chains).  The tests compare the event loop against that law, so a
+rule that the compiled block and the Python ``_block`` share, such as
+which host a patch lands on, is checked against the model and not
+against another copy of it.
 """
 
 import math
@@ -30,41 +17,7 @@ import pytest
 from wormsim.core import DefenseKind, ScenarioParams
 from wormsim.stochastic import StochasticConfig, ensemble
 
-
-def _exact_law(params, times):
-    """The law of (S, I) at each of the increasing times, as (N+1, N+1)
-    arrays indexed [S, I], and the total mass of each, which is 1 up to
-    the Poisson tail and rounding."""
-    n = params.n_hosts
-    s = np.arange(n + 1.0)[:, None]
-    i = np.arange(n + 1.0)[None, :]
-    unpatched = s + i
-    live = unpatched <= n
-    infect = np.where(live, s * i / n, 0.0)
-    if params.defense is DefenseKind.FIXED_SERVERS:
-        patch = params.gamma * np.minimum(unpatched, params.p_bar)
-    else:
-        patch = params.gamma / n * unpatched * (n - unpatched)
-    share = np.where(live & (unpatched > 0), patch / np.maximum(unpatched, 1.0), 0.0)
-    patch_s, patch_i = share * s, share * i
-    leave = infect + patch_s + patch_i
-    rate = leave.max()
-    stay, infect, patch_s, patch_i = (1.0 - leave / rate, infect / rate,
-                                      patch_s / rate, patch_i / rate)
-
-    pi = np.zeros((n + 1, n + 1))
-    pi[n - params.i0 - params.p_bar, params.i0] = 1.0
-    laws = [np.zeros_like(pi) for _ in times]
-    last = rate * times[-1]
-    for k in range(int(last + 12.0 * math.sqrt(last) + 30.0)):
-        for law, t in zip(laws, times):
-            law += math.exp(k * math.log(rate * t) - rate * t - math.lgamma(k + 1)) * pi
-        step = stay * pi
-        step[:-1, 1:] += (infect * pi)[1:, :-1]
-        step[:-1, :] += (patch_s * pi)[1:, :]
-        step[:, :-1] += (patch_i * pi)[:, 1:]
-        pi = step
-    return laws, [law.sum() for law in laws]
+from exact_chains import exact_law
 
 
 # R, the keys and the bands come from the exact law, not from the runs.
@@ -98,7 +51,7 @@ def test_ensemble_matches_exact_patched_chain(case):
     1.1 to 17.
     """
     params, seed = _CASES[case]
-    laws, mass = _exact_law(params, _TIMES)
+    laws, mass = exact_law(params, _TIMES)
     assert np.allclose(mass, 1.0, rtol=0.0, atol=1e-12), mass
     level = np.arange(params.n_hosts + 1.0)
     mean = np.array([law.sum(axis=0) @ level for law in laws])

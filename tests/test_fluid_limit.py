@@ -27,6 +27,8 @@ from wormsim.core import DefenseKind, ScenarioParams
 from wormsim.integrate import IntegratorConfig, integrate
 from wormsim.stochastic import StochasticConfig, ensemble
 
+from exact_chains import linear_noise
+
 SIZES = (1_000, 10_000, 100_000)
 RUNS = 50
 T_END = 25.0
@@ -43,53 +45,6 @@ MODELS = {
 }
 
 
-def _events(x, defense, gamma, c):
-    """(rate density, (ds, di)) of infection, patch of I, patch of S."""
-    s, i = x
-    u = s + i
-    if defense is DefenseKind.FIXED_SERVERS:
-        patch = gamma * min(c, u)
-    else:
-        patch = gamma * u * (1.0 - u)
-    return ((s * i, (-1.0, 1.0)), (patch * i / u, (0.0, -1.0)),
-            (patch * s / u, (-1.0, 0.0)))
-
-
-def _drift(x, *model):
-    return sum(rate * np.array(l) for rate, l in _events(x, *model))
-
-
-def _noise_slope(y, *model):
-    """d/dt of (s, i, Sigma): the fluid drift and the linear noise equation."""
-    x, sigma = y[:2], y[2:].reshape(2, 2)
-    h = 1e-7
-    jac = np.column_stack([
-        (_drift(x + e, *model) - _drift(x - e, *model)) / (2 * h)
-        for e in np.eye(2) * h
-    ])
-    g = sum(rate * np.outer(l, l) for rate, l in _events(x, *model))
-    d_sigma = jac @ sigma + sigma @ jac.T + g
-    return np.concatenate([_drift(x, *model), d_sigma.ravel()])
-
-
-def _linear_noise(defense, gamma, a, c, n_pts):
-    """Sigma at each grid point, by RK4 in (s, i); P / N = 1 - s - i."""
-    model = (defense, gamma, c)
-    y = np.concatenate([[1.0 - a - c, a], np.zeros(4)])
-    out = [y]
-    for _ in range(n_pts - 1):
-        k1 = _noise_slope(y, *model)
-        k2 = _noise_slope(y + DT / 2 * k1, *model)
-        k3 = _noise_slope(y + DT / 2 * k2, *model)
-        k4 = _noise_slope(y + DT * k3, *model)
-        y = y + DT / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(y)
-    sigma = np.array(out)[:, 2:]
-    var_i = sigma[:, 3]
-    var_p = sigma[:, 0] + 2 * sigma[:, 1] + sigma[:, 3]  # Var(-S - I)
-    return var_i, var_p
-
-
 @pytest.fixture(scope="module", params=sorted(MODELS))
 def limit_case(request):
     defense, gamma, a, c = MODELS[request.param]
@@ -103,7 +58,7 @@ def limit_case(request):
             t_end_itu=T_END, seed=1 + k * RUNS, sample_dt_itu=DT, runs=RUNS))
         fluid = integrate(params, IntegratorConfig(T_END, dt_itu=0.01, sample_stride=5))
         cases.append((n, res, fluid))
-    var_i, var_p = _linear_noise(defense, gamma, a, c, len(cases[0][1].mean.t_itu))
+    var_i, var_p = linear_noise(defense, gamma, a, c, len(cases[0][1].mean.t_itu), DT)
     return cases, var_i, var_p
 
 

@@ -1,6 +1,7 @@
 """Network-telescope sizing: expected scans, sizing, and thumb rules."""
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -55,6 +56,24 @@ def test_detection_probability_matches_direct_formula(slammer):
     # rising to 1.0 at a t whose exponential overflows, with no warning
     out = detection_probability(np.array([0.0, 1.0, 2.0, 5000.0]), slammer, m)
     assert np.all(np.diff(out) > 0.0) and out[-1] == 1.0
+
+
+@pytest.mark.parametrize("i0", [1, 3])
+def test_detection_probability_keeps_relative_precision_at_small_t(i0):
+    # Against 1 - [(1 + theta) / (1 + theta e^x)]^I0, x = (1 + theta) t, in
+    # 50 significant digits at the exact binary value of each t.  A difference
+    # of two logs near log(1 + theta) would be 2e-4 off at t = 1e-12.
+    n, m = 85000, 8213
+    params = ScenarioParams(n_hosts=n, virulence=1.0, i0=i0, defense=DefenseKind.NO_PATCHING)
+    times = [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 0.999, 1.0, 2.42, 50.0]
+    got = detection_probability(np.array(times), params, m)
+    with decimal.localcontext() as context:
+        context.prec = 50
+        theta = decimal.Decimal(m) / n
+        for t, value in zip(times, got):
+            growth = (1 + theta) * decimal.Decimal(t)
+            exact = 1 - ((1 + theta) / (1 + theta * growth.exp())) ** i0
+            assert abs(decimal.Decimal(float(value)) / exact - 1) <= decimal.Decimal("1e-14"), t
 
 
 def test_monitors_for_detection_slammer_deadline(slammer):
