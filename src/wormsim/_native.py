@@ -10,9 +10,6 @@ import ctypes
 import glob
 import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 
 # The library is named by a hash of the source and flags, so an edited
 # source never loads a stale build.  No -march=native or -ffast-math: a
@@ -39,6 +36,11 @@ def _build(source: str) -> str | None:
     stem = os.path.splitext(source)[0]
     lib = f"{stem}-{digest}.so"
     if not os.path.exists(lib):
+        # Only a build needs these; importing subprocess takes a few ms.
+        import shutil
+        import subprocess
+        import tempfile
+
         cc = shutil.which("cc")
         if cc is None:
             return None

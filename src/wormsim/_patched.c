@@ -1,39 +1,37 @@
-/* The patched event loop, one block of uniforms per call: the block
- * contract that stochastic._run_patched drives, and whose Python twin is
- * stochastic._block.
+/* The patched event loop, one whole run per call, driven by
+ * stochastic._run_patched; stochastic._block is its Python twin.
  *
  * The two are statement for statement alike: the same float expressions
  * in the same order, log1p from libm (the function math.log1p calls),
- * and two uniforms per event.  This file is built with -O2
- * -fno-fast-math -ffp-contract=off, so that no expression is
- * reassociated or fused and every seeded run is bit-identical to
- * _block's; test_blocks_keep_lockstep compares the two after every
- * call.  Plain C, called through ctypes.
+ * and two uniforms per event, drawn through numpy's
+ * bit_generator.ctypes.next_double and .state, which Generator.random
+ * fills through.  This file is built with -O2 -fno-fast-math
+ * -ffp-contract=off, so that no expression is reassociated or fused and
+ * every seeded run is bit-identical to _block's; test_blocks_keep_lockstep
+ * compares the two.  Plain C, called through ctypes.
  *
- * st holds s, i, p, t and halt; it is read on entry and written back
- * on return.  par holds n, g, pb, g_n and g_pb.  The grid rows from
- * index gi on are filled as the run passes them.  Returns the next
- * unfilled grid index: n_pts once the run is over, in which case
- * st[4] is t if the run was absorbed and is left as it was otherwise.
+ * st holds s, i, p, t and halt; it is read on entry and written back on
+ * return, st[4] as t if the run was absorbed and left as it was otherwise.
+ * par holds n, g, pb, g_n and g_pb.  Every grid row is filled.
  */
 
 #include <math.h>
 #include <stdint.h>
 
-int64_t wormsim_patched_block(
+void wormsim_patched_block(
     double *st, const double *par, int32_t is_fixed,
-    const double *draws, int64_t n_draws,
-    const double *grid, int64_t n_pts, int64_t gi,
+    double (*next_double)(void *), void *state,
+    const double *grid, int64_t n_pts,
     double *out_s, double *out_i, double *out_p)
 {
     const double n = par[0], g = par[1], pb = par[2];
     const double g_n = par[3], g_pb = par[4];
     double s = st[0], i = st[1], p = st[2], t = st[3];
-    double next_grid = grid[gi];
-    int64_t k;
+    int64_t gi = 0;
 
-    for (k = 0; k + 1 < n_draws; k += 2) {
-        const double u_hold = draws[k], u_event = draws[k + 1];
+    for (;;) {
+        const double u_hold = next_double(state);
+        const double u_event = next_double(state);
         const double unpatched = s + i;
         const double rate_infect = s * i / n;
         double rate_patch, total, t_next, u;
@@ -49,17 +47,14 @@ int64_t wormsim_patched_block(
         } else {
             t_next = t + -log1p(-u_hold) / total;
         }
-        if (next_grid < t_next) {
-            while (gi < n_pts && grid[gi] < t_next) {
-                out_s[gi] = s;
-                out_i[gi] = i;
-                out_p[gi] = p;
-                gi++;
-            }
-            if (gi == n_pts)
-                break;
-            next_grid = grid[gi];
+        while (gi < n_pts && grid[gi] < t_next) {
+            out_s[gi] = s;
+            out_i[gi] = i;
+            out_p[gi] = p;
+            gi++;
         }
+        if (gi == n_pts)
+            break;
         t = t_next;
         u = u_event * total;
         if (u < rate_infect) {
@@ -78,5 +73,4 @@ int64_t wormsim_patched_block(
     st[1] = i;
     st[2] = p;
     st[3] = t;
-    return gi;
 }

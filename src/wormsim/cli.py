@@ -338,7 +338,7 @@ def resolve_scenario(config: dict) -> ResolvedScenario:
 
     # Floats held: t, S, I, P per RK4 sample (the kernel's one buffer) or closed-form
     # point, S, I, P per stochastic grid point and run, an undefended run's N - i0 jump
-    # times.  Each engine peaks within 1.6x of it, plus a patched run's draw block.  Over
+    # times.  Each engine peaks within 1.6x of it, plus the Python block's uniforms.  Over
     # 2**28 (2 GiB) is refused: a machine that overcommits would grant it, then run for hours.
     form_dt, form_end = _checked("params", _closed_form_span, params, integrator)
     floats = dict(

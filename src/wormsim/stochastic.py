@@ -23,17 +23,19 @@ Randomness comes from numpy's counter-based Philox generator.  One rule,
 _generators, keys every run of every sampler (run k by the seed plus k),
 so each run is independently reproducible; runs go in key order.
 
-Every patched run is one driver, _run_patched, calling one block
-function per block of uniforms.  _patched.c's wormsim_patched_block,
-which _native builds with the system cc on the first patched run and
-loads through ctypes, is that function; _block, its statement-for-
-statement Python twin, runs where the C cannot be built or loaded (no
-compiler, a read-only directory, no source), with the same bytes out.
+Every patched run is one call of a block function, made by _run_patched:
+_patched.c's wormsim_patched_block, which _native builds with the system
+cc on the first patched run and loads through ctypes, or _block, its
+statement-for-statement Python twin, where the C cannot be built or
+loaded (no compiler, a read-only directory, no source), with the same
+bytes out.
 
 Seeded patched runs stay bit-identical only while this draw contract
 holds, in both blocks: each event spends exactly two uniforms of the
-run's stream, the holding time and then the event, drawn in blocks of
-16384 (even, so no pair straddles two blocks); the holding time is
+run's stream, the holding time and then the event.  The C block draws
+each through the bit generator's next_double, which Generator.random
+fills through, so _block's gen.random chunks hold the same uniforms;
+it takes no lock, as each run owns its generator.  The holding time is
 -log1p(-u) / total with libm's log1p, which math.log1p calls (array
 np.log1p differs in the last ulp on some inputs).  Python floats follow
 the same IEEE-754 double arithmetic as numpy float64 scalars and C
@@ -52,6 +54,7 @@ horizon needs, so a run holds one float per host.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,7 +106,7 @@ class EnsembleResult:
     extinct_before_end: int
 
 
-_DRAW_BLOCK = 16384  # uniforms per Generator call in the patched loop; the largest jump block
+_DRAW_BLOCK = 16384  # uniforms per Generator call in the Python block; the largest jump block
 
 
 def _check_exact_counts(params: ScenarioParams) -> None:
@@ -164,14 +167,21 @@ def _run_no_patch(params: ScenarioParams, gen, grid):
     return np.stack((params.n_hosts - i, i, np.zeros_like(i))), halt
 
 
-def _block(st, par, is_fixed, draws, n_draws, grid, n_pts, gi, out_s, out_i, out_p):
+def _uniforms(gen):
+    """gen's uniforms in stream order, drawn _DRAW_BLOCK at a time as they are read."""
+    return itertools.chain.from_iterable(
+        gen.random(_DRAW_BLOCK).tolist() for _ in itertools.count())
+
+
+def _block(st, par, is_fixed, gen, grid, out_s, out_i, out_p):
     """_patched.c's wormsim_patched_block in Python, statement for statement."""
     n, g, pb, g_n, g_pb = par.tolist()
     s, i, p, t = st[:4].tolist()
     grid = grid.tolist()
-    next_grid = grid[gi]
+    n_pts = len(grid)
+    gi = 0
     log1p = math.log1p
-    draws = iter(draws[:n_draws].tolist())
+    draws = _uniforms(gen)
     for u_hold, u_event in zip(draws, draws):
         unpatched = s + i
         rate_infect = s * i / n
@@ -185,15 +195,13 @@ def _block(st, par, is_fixed, draws, n_draws, grid, n_pts, gi, out_s, out_i, out
             t_next = math.inf
         else:
             t_next = t + -log1p(-u_hold) / total
-        if next_grid < t_next:
-            while gi < n_pts and grid[gi] < t_next:
-                out_s[gi] = s
-                out_i[gi] = i
-                out_p[gi] = p
-                gi += 1
-            if gi == n_pts:
-                break
-            next_grid = grid[gi]
+        while gi < n_pts and grid[gi] < t_next:
+            out_s[gi] = s
+            out_i[gi] = i
+            out_p[gi] = p
+            gi += 1
+        if gi == n_pts:
+            break
         t = t_next
         # One uniform picks the event and, for patches, the target:
         # conditional on landing in the patch band, the offset is again
@@ -210,46 +218,43 @@ def _block(st, par, is_fixed, draws, n_draws, grid, n_pts, gi, out_s, out_i, out
                 s -= 1.0
             p += 1.0
     st[:4] = s, i, p, t
-    return gi
 
 
 @functools.cache
 def _patched_block():
-    """_patched.c's wormsim_patched_block, or _block where it cannot be
-    built or loaded; looked up once per process, on the first patched run,
-    so a failed build is not retried."""
+    """_patched.c's wormsim_patched_block, called with a generator's next_double
+    and state, or _block where it cannot be built or loaded; looked up once per
+    process, on the first patched run, so a failed build is not retried."""
     import ctypes
 
     from . import _native
 
-    block = _native.function("wormsim_patched_block")
-    if block is None:
+    run = _native.function("wormsim_patched_block")
+    if run is None:
         return _block
     f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    i64 = ctypes.c_int64
-    block.argtypes = [
-        f64, f64, ctypes.c_int32, f64, i64, f64, i64, i64, f64, f64, f64,
-    ]
-    block.restype = i64
+    next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+    run.argtypes = [f64, f64, ctypes.c_int32, next_double, ctypes.c_void_p,
+                    f64, ctypes.c_int64, f64, f64, f64]
+    run.restype = None
+
+    def block(st, par, is_fixed, gen, grid, out_s, out_i, out_p):
+        bitgen = gen.bit_generator.ctypes
+        run(st, par, is_fixed, bitgen.next_double, bitgen.state, grid, len(grid),
+            out_s, out_i, out_p)
+
     return block
 
 
 def _run_patched(block, params: ScenarioParams, gen, grid):
-    """One patched run: one draw buffer, refilled for each call of block."""
+    """One patched run: one call of block, which draws from gen as it goes."""
     n = float(params.n_hosts)
     g = params.gamma
     pb = float(params.p_bar)
     par = np.array([n, g, pb, g / n, g * pb])
     st = np.array([*initial_state(params), 0.0, 0.0])  # s, i, p, t, halt
-    is_fixed = params.defense is DefenseKind.FIXED_SERVERS
-    n_pts = len(grid)
-    out_s, out_i, out_p = sip = np.empty((3, n_pts))
-    draws = np.empty(_DRAW_BLOCK)
-    gi = 0
-    while gi < n_pts:
-        gen.random(out=draws)
-        gi = block(st, par, is_fixed, draws, _DRAW_BLOCK, grid, n_pts, gi,
-                   out_s, out_i, out_p)
+    sip = np.empty((3, len(grid)))
+    block(st, par, params.defense is DefenseKind.FIXED_SERVERS, gen, grid, *sip)
     halt = float(st[4])
     return sip, (halt if halt > 0.0 else None)
 

@@ -38,7 +38,8 @@ to the Numerical Solution of Markov Chains*, 1994, ch. 8).
 
 linear_noise solves the linear noise equation of both patched models in
 the densities; tests/test_fluid_limit.py states the limit theorems it
-rests on.
+rests on.  binomial_tails gives the two tails of a binomial count, for
+the tests that count runs.
 """
 
 import math
@@ -194,3 +195,12 @@ def linear_noise(defense, gamma, a, c, n_pts, dt):
     var_i = sigma[:, 3]
     var_p = sigma[:, 0] + 2 * sigma[:, 1] + sigma[:, 3]  # Var(-S - I)
     return var_i, var_p
+
+
+def binomial_tails(successes, trials, p):
+    """P(X <= successes) and P(X >= successes) for X ~ Binomial(trials, p)."""
+    j = np.arange(trials + 1)
+    log_factorial = np.cumsum(np.log(np.maximum(j, 1)))
+    pmf = np.exp(log_factorial[-1] - log_factorial - log_factorial[::-1]
+                 + j * math.log(p) + (trials - j) * math.log1p(-p))
+    return pmf[:successes + 1].sum(), pmf[successes:].sum()

@@ -2,9 +2,14 @@
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from wormsim import _native
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,3 +71,20 @@ def test_cli_import_loads_neither_numpy_random_nor_yaml():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+def test_patched_run_on_an_existing_build_loads_no_subprocess():
+    # Only a build runs the compiler, so a patched run that reuses the
+    # current library imports no subprocess (about 5 ms after numpy).
+    assert _native._build(_native._C_SOURCE) is not None  # the library exists
+    probe = ("import sys; from wormsim import core, stochastic; "
+             "params = core.ScenarioParams(n_hosts=100, virulence=1.0, i0=5, "
+             "defense=core.DefenseKind.PEER_TO_PEER, gamma=2.0, p_bar=2); "
+             "stochastic.simulate(params, stochastic.StochasticConfig(t_end_itu=1.0, seed=0)); "
+             "print(stochastic._patched_block() is not stochastic._block, "
+             "'subprocess' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["True", "False"]  # compiled, and no subprocess

@@ -556,7 +556,7 @@ _EVENT_LOOP_CASES = [
         StochasticConfig(t_end_itu=0.05, seed=1),
         lambda r, params: len(r[0]) == 2,
     ),
-    (  # more than 8192 events: crosses a 16384-uniform block boundary
+    (  # more than 8192 events: crosses a boundary of _block's 16384-uniform chunks
         "block-boundary",
         _patched(_P2P, 20000, 25, 2.0, 10),
         StochasticConfig(t_end_itu=30.0, seed=3),
@@ -619,24 +619,24 @@ def test_compiled_desk_ensemble_equals_python(monkeypatch, name, seed):
 
 
 def _lockstep(compiled, params, cfg):
-    """One patched run through both blocks at once: every call gets the same
-    draws, and both must leave the same state (s, i, p, t, halt), grid index
-    and grid rows.  Returns the grid index after each call."""
+    """One patched run through both blocks, each drawing from its own
+    generator of the run's key: both must leave the same state (s, i, p, t,
+    halt) and fill every grid row alike.  Returns the number of calls."""
     calls = []
 
-    def both(st, par, is_fixed, draws, n_draws, grid, n_pts, gi, *rows):
+    def both(st, par, is_fixed, gen, grid, *rows):
+        for row in rows:
+            row.fill(np.nan)  # a row left unfilled fails the comparison
         st_py, rows_py = st.copy(), [row.copy() for row in rows]
-        gi_py = stochastic._block(st_py, par, is_fixed, draws, n_draws, grid, n_pts, gi,
-                                  *rows_py)
-        gi_c = compiled(st, par, is_fixed, draws, n_draws, grid, n_pts, gi, *rows)
-        assert (len(calls), gi_c, st.tolist()) == (len(calls), gi_py, st_py.tolist())
+        stochastic._block(st_py, par, is_fixed, stochastic._rng(cfg.seed), grid, *rows_py)
+        compiled(st, par, is_fixed, gen, grid, *rows)
+        assert st.tolist() == st_py.tolist()
         for row, row_py in zip(rows, rows_py):
-            assert np.array_equal(row[gi:gi_c], row_py[gi:gi_c])
-        calls.append(gi_c)
-        return gi_c
+            assert np.array_equal(row, row_py)
+        calls.append(gen)
 
     stochastic._run_patched(both, params, stochastic._rng(cfg.seed), stochastic._grid(cfg))
-    return calls
+    return len(calls)
 
 
 # Every event-loop case, and whole p2p runs to extinction at two sizes.
@@ -648,8 +648,57 @@ def _lockstep(compiled, params, cfg):
        for n in (1000, 20000) for seed in range(20)],
 )
 def test_blocks_keep_lockstep(params, cfg):
-    calls = _lockstep(_compiled_block(), params, cfg)
-    assert calls[-1] == len(stochastic._grid(cfg)) and calls[:-1] == sorted(calls[:-1])
+    assert _lockstep(_compiled_block(), params, cfg) == 1
+
+
+@pytest.mark.parametrize("loop", ["python", "compiled"])
+def test_patched_run_is_one_block_call(monkeypatch, loop):
+    block = stochastic._block if loop == "python" else _compiled_block()
+    calls = []
+    monkeypatch.setattr(stochastic, "_patched_block",
+                        lambda: lambda *args: calls.append(args[3]) or block(*args))
+    params, cfg = _EVENT_LOOP_CASES[-1][1:3]  # past 8192 events, several Python chunks
+    ensemble(params, dataclasses.replace(cfg, runs=3))
+    assert len(calls) == 3 and len(set(map(id, calls))) == 3  # one call per run's generator
+
+
+def _counting_uniforms(monkeypatch):
+    """Make _block read its uniforms through an iterator that counts them;
+    returns the count, as a one-item list."""
+    read, real = [0], stochastic._uniforms
+
+    def uniforms(gen):
+        for u in real(gen):
+            read[0] += 1
+            yield u
+
+    monkeypatch.setattr(stochastic, "_uniforms", uniforms)
+    return read
+
+
+@pytest.mark.parametrize(
+    "params,cfg,ends",
+    [pytest.param(*_EVENT_LOOP_CASES[0][1:3], "absorbed", id="fixed-absorbed"),
+     pytest.param(_patched(_P2P, 300, 3, 2.0, 5), StochasticConfig(t_end_itu=3.0, seed=9),
+                  "past-grid", id="p2p-past-grid"),
+     pytest.param(*_EVENT_LOOP_CASES[4][1:3], "one-point", id="one-point-grid")],
+)
+def test_compiled_run_draws_two_uniforms_per_pass(monkeypatch, params, cfg, ends):
+    # The Python block counts the passes of the loop, as pairs of uniforms
+    # read; the compiled run must leave its generator just past them.
+    grid = stochastic._grid(cfg)
+    with monkeypatch.context() as m:
+        read = _counting_uniforms(m)
+        want, _ = stochastic._run_patched(stochastic._block, params, stochastic._rng(cfg.seed),
+                                          grid)
+    assert read[0] % 2 == 0
+    passes = read[0] // 2
+    gen = stochastic._rng(cfg.seed)
+    sip, halt = stochastic._run_patched(_compiled_block(), params, gen, grid)
+    assert np.array_equal(sip, want)
+    assert (halt is not None) == (ends == "absorbed")
+    assert (passes == 1) == (ends == "one-point")  # the first holding time passes t = 0
+    assert gen.random() == stochastic._rng(cfg.seed).random(2 * passes + 1)[-1]
 
 
 @pytest.fixture
@@ -757,28 +806,41 @@ def test_first_load_removes_stale_builds(monkeypatch, tmp_path, fresh_loader):
     assert sorted(os.listdir(tmp_path)) == sorted([source.name, os.path.basename(current)])
 
 
-def test_patched_run_holds_one_draw_block():
-    # One draw buffer is refilled for every block call; a fresh block per
-    # call would hold two at once.  The compiled block keeps no copy of
-    # the draws (_block's tolist() does), so the buffer dominates the peak.
-    compiled, calls = _compiled_block(), []
-
-    def block(*args):
-        calls.append(args[7])
-        return compiled(*args)
-
+def test_patched_run_holds_no_draw_buffer():
+    # The compiled block draws each uniform as it needs it, so a run holds
+    # its output rows and little else.
+    compiled = _compiled_block()
     scn = resolve_scenario(load_config("codered-fixed-desk"))
     grid = stochastic._grid(scn.stochastic)
     stochastic._run_patched(compiled, scn.params, stochastic._rng(0), grid)  # warm
-    gen = stochastic._rng(0)
     tracemalloc.start()
     try:
-        stochastic._run_patched(block, scn.params, gen, grid)
+        stochastic._run_patched(compiled, scn.params, stochastic._rng(0), grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) > 1  # the run spans several draw blocks
-    assert peak < 1.5 * stochastic._DRAW_BLOCK * 8
+    assert peak < 3 * len(grid) * 8 + 16384  # the rows, and 16 KB: an eighth of one chunk's array
+
+
+def test_python_block_holds_one_chunk_at_a_time(monkeypatch):
+    # _block reads its uniforms _DRAW_BLOCK at a time; a run that reads
+    # several chunks peaks near what one chunk alone costs, not twice it.
+    params, cfg = _EVENT_LOOP_CASES[-1][1:3]  # past 8192 events
+    grid = stochastic._grid(cfg)
+    gen, run_gen = stochastic._rng(0), stochastic._rng(cfg.seed)
+    tracemalloc.start()
+    try:
+        next(stochastic._uniforms(gen))
+        chunk = tracemalloc.get_traced_memory()[1]
+        read = _counting_uniforms(monkeypatch)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        stochastic._run_patched(stochastic._block, params, run_gen, grid)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert read[0] > 2 * stochastic._DRAW_BLOCK  # the run spans three chunks or more
+    assert peak < 1.5 * chunk
 
 
 def _ref_infection_jumps(params, gen):
