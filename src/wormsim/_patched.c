@@ -12,20 +12,19 @@
  *
  * st holds s, i, p, t and halt; it is read on entry and written back on
  * return, st[4] as t if the run was absorbed and left as it was otherwise.
- * par holds n, g, pb, g_n and g_pb.  Every grid row is filled.
+ * n, g and pb are N, gamma and p_bar.  Every grid row is filled.
  */
 
 #include <math.h>
 #include <stdint.h>
 
 void wormsim_patched_block(
-    double *st, const double *par, int32_t is_fixed,
+    double *st, double n, double g, double pb, int32_t is_fixed,
     double (*next_double)(void *), void *state,
     const double *grid, int64_t n_pts,
     double *out_s, double *out_i, double *out_p)
 {
-    const double n = par[0], g = par[1], pb = par[2];
-    const double g_n = par[3], g_pb = par[4];
+    const double g_n = g / n, g_pb = g * pb;
     double s = st[0], i = st[1], p = st[2], t = st[3];
     int64_t gi = 0;
 

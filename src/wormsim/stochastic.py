@@ -34,12 +34,13 @@ Seeded patched runs stay bit-identical only while this draw contract
 holds, in both blocks: each event spends exactly two uniforms of the
 run's stream, the holding time and then the event.  The C block draws
 each through the bit generator's next_double, which Generator.random
-fills through, so _block's gen.random chunks hold the same uniforms;
-it takes no lock, as each run owns its generator.  The holding time is
--log1p(-u) / total with libm's log1p, which math.log1p calls (array
-np.log1p differs in the last ulp on some inputs).  Python floats follow
-the same IEEE-754 double arithmetic as numpy float64 scalars and C
-doubles compiled without contraction or fast-math.
+fills through, so _block's gen.random fetches hold the same uniforms
+whatever their sizes; it takes no lock, as each run owns its generator.
+The holding time is -log1p(-u) / total with libm's log1p, which
+math.log1p calls (array np.log1p differs in the last ulp on some
+inputs).  Python floats follow the same IEEE-754 double arithmetic as
+numpy float64 scalars and C doubles compiled without contraction or
+fast-math.
 Host counts are carried as floats: every count and the product S * I
 are integers below 2**53 while n_hosts**2 <= 2**55 (N <= 189,812,531),
 so each rate rounds exactly as the integer form does; simulate and
@@ -106,7 +107,7 @@ class EnsembleResult:
     extinct_before_end: int
 
 
-_DRAW_BLOCK = 16384  # uniforms per Generator call in the Python block; the largest jump block
+_DRAW_BLOCK = 16384  # the largest Python-block fetch and jump block; both grow to it from 64
 
 
 def _check_exact_counts(params: ScenarioParams) -> None:
@@ -168,14 +169,14 @@ def _run_no_patch(params: ScenarioParams, gen, grid):
 
 
 def _uniforms(gen):
-    """gen's uniforms in stream order, drawn _DRAW_BLOCK at a time as they are read."""
+    """gen's uniforms in stream order, fetched as read: 64, then doubling up to _DRAW_BLOCK."""
     return itertools.chain.from_iterable(
-        gen.random(_DRAW_BLOCK).tolist() for _ in itertools.count())
+        gen.random(min(64 << k, _DRAW_BLOCK)).tolist() for k in itertools.count())
 
 
-def _block(st, par, is_fixed, gen, grid, out_s, out_i, out_p):
+def _block(st, n, g, pb, is_fixed, gen, grid, out_s, out_i, out_p):
     """_patched.c's wormsim_patched_block in Python, statement for statement."""
-    n, g, pb, g_n, g_pb = par.tolist()
+    g_n, g_pb = g / n, g * pb
     s, i, p, t = st[:4].tolist()
     grid = grid.tolist()
     n_pts = len(grid)
@@ -234,13 +235,14 @@ def _patched_block():
         return _block
     f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
-    run.argtypes = [f64, f64, ctypes.c_int32, next_double, ctypes.c_void_p,
-                    f64, ctypes.c_int64, f64, f64, f64]
+    double = ctypes.c_double
+    run.argtypes = [f64, double, double, double, ctypes.c_int32, next_double,
+                    ctypes.c_void_p, f64, ctypes.c_int64, f64, f64, f64]
     run.restype = None
 
-    def block(st, par, is_fixed, gen, grid, out_s, out_i, out_p):
+    def block(st, n, g, pb, is_fixed, gen, grid, out_s, out_i, out_p):
         bitgen = gen.bit_generator.ctypes
-        run(st, par, is_fixed, bitgen.next_double, bitgen.state, grid, len(grid),
+        run(st, n, g, pb, is_fixed, bitgen.next_double, bitgen.state, grid, len(grid),
             out_s, out_i, out_p)
 
     return block
@@ -248,13 +250,10 @@ def _patched_block():
 
 def _run_patched(block, params: ScenarioParams, gen, grid):
     """One patched run: one call of block, which draws from gen as it goes."""
-    n = float(params.n_hosts)
-    g = params.gamma
-    pb = float(params.p_bar)
-    par = np.array([n, g, pb, g / n, g * pb])
     st = np.array([*initial_state(params), 0.0, 0.0])  # s, i, p, t, halt
     sip = np.empty((3, len(grid)))
-    block(st, par, params.defense is DefenseKind.FIXED_SERVERS, gen, grid, *sip)
+    block(st, float(params.n_hosts), float(params.gamma), float(params.p_bar),
+          params.defense is DefenseKind.FIXED_SERVERS, gen, grid, *sip)
     halt = float(st[4])
     return sip, (halt if halt > 0.0 else None)
 

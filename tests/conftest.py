@@ -1,4 +1,7 @@
-"""Shared scenario fixtures: the canonical operating points used across tests."""
+"""Shared fixtures: the canonical operating points used across tests, and a
+peak-memory probe."""
+
+import tracemalloc
 
 import pytest
 
@@ -46,3 +49,18 @@ def desk_fixed():
         gamma=8.666666666666666,
         p_bar=25,
     )
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls f(*args) with tracemalloc tracing that call alone,
+    and returns (f's result, the peak of traced memory in bytes)."""
+
+    def trace(f, *args):
+        tracemalloc.start()
+        try:
+            return f(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return trace

@@ -12,7 +12,6 @@ import reprlib
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -732,7 +731,7 @@ def test_trajectory_csv_matches_csv_writer(tmp_path):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "stdlib.csv").read_bytes()
 
 
-def test_trajectory_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+def test_trajectory_csv_peak_memory_does_not_grow_with_rows(tmp_path, traced_peak):
     # Rows become Python floats one block at a time, so four times the rows
     # must not take four times the memory; a run near the 2**28-float
     # ceiling would otherwise need about 10 GiB to write its CSV.
@@ -742,12 +741,7 @@ def test_trajectory_csv_peak_memory_does_not_grow_with_rows(tmp_path):
         zeros = np.zeros(rows)
         traj = Trajectory(t_itu=np.arange(rows) * 0.5, s=zeros, i=zeros, p=zeros,
                           params=params, source=TrajectorySource.CLOSED_FORM)
-        tracemalloc.start()
-        try:
-            cli.write_trajectory_csv(str(tmp_path / "rows.csv"), traj)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(cli.write_trajectory_csv, str(tmp_path / "rows.csv"), traj)[1])
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 

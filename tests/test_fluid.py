@@ -4,7 +4,6 @@ Reference numbers were frozen from independent fine-grid evaluations of
 the closed forms and hand-computed rate identities.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,17 +187,12 @@ def test_p2p_long_time_underflow_is_zero(codered_p2p_g2):
     assert fluid.closed_form_p2p(400.0, codered_p2p_g2) == 0.0
 
 
-def test_p2p_closed_form_holds_two_grid_arrays(codered_p2p_g2):
+def test_p2p_closed_form_holds_two_grid_arrays(codered_p2p_g2, traced_peak):
     # Each step is written in place into the result or one work array, so
     # the CLI's ceiling of 4 floats per point holds with its grid.  The grid
     # runs past the overflow of exp(gamma * t).
     t = np.linspace(0.0, 400.0, 100_001)
-    tracemalloc.start()
-    try:
-        fluid.closed_form_p2p(t, codered_p2p_g2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(fluid.closed_form_p2p, t, codered_p2p_g2)
     assert peak <= 2.05 * t.nbytes
 
 

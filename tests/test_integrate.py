@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,7 +277,7 @@ def test_integrated_trajectories_conserve_hosts(request, fixture, t_end):
 @pytest.mark.parametrize(
     "name", [n for n in builtin_names() if "integrate" in BUILTIN_SCENARIOS[n]["engines"]]
 )
-def test_integrate_holds_one_sample_buffer(name):
+def test_integrate_holds_one_sample_buffer(name, traced_peak):
     # cli.resolve_scenario counts 4 floats per RK4 sample against its
     # ceiling: the kernel's one (4, n_steps // stride + 3) buffer, whose
     # rows the trajectory keeps.  A copy of the filled rows would take the
@@ -290,11 +289,6 @@ def test_integrate_holds_one_sample_buffer(name):
     # traced run that starts from an empty list takes up to 10x longer; a
     # short untraced run refills it first.
     integrate(scn.params, dataclasses.replace(config, t_end_itu=0.05))
-    tracemalloc.start()
-    try:
-        traj = integrate(scn.params, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = traced_peak(integrate, scn.params, config)
     assert all(row.flags.c_contiguous for row in (traj.t_itu, traj.s, traj.i, traj.p))
     assert peak <= 1.05 * 8 * 4 * (n_steps + 3)

@@ -225,48 +225,33 @@ def test_ensemble_mean_is_key_ordered_sum_of_runs(params):
         assert np.array_equal(got, want)
 
 
-def test_ensemble_holds_no_second_runs_array():
+def test_ensemble_holds_no_second_runs_array(traced_peak):
     # The spread is taken in the runs array's own buffer; np.std's copy of
     # it would take the peak past twice its size.  A fine grid makes the
     # runs array dominate each run's own draws, and undefended runs need
     # no event loop, so the check costs the same with or without a compiler.
     config = StochasticConfig(t_end_itu=48.0, seed=0, runs=50, sample_dt_itu=0.01)
     runs_bytes = config.runs * 3 * len(stochastic._grid(config)) * 8
-    tracemalloc.start()
-    try:
-        ensemble(_undefended(10000), config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(ensemble, _undefended(10000), config)
     assert peak < 1.5 * runs_bytes
 
 
-def test_undefended_run_holds_one_float_per_host():
+def test_undefended_run_holds_one_float_per_host(traced_peak):
     # cli.resolve_scenario counts one float per undefended host against its
     # ceiling: the holding times, turned into jump times in place.
     params = _undefended(10**6)
-    tracemalloc.start()
-    try:
-        traj = simulate(params, StochasticConfig(t_end_itu=60.0, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = traced_peak(simulate, params, StochasticConfig(t_end_itu=60.0, seed=0))
     assert traj.halt_itu is not None  # the full path: every host infected
     assert peak < 1.2 * 8 * params.n_hosts
 
 
 @pytest.mark.parametrize("sampler", [detection_sim, monitor_scan_counts],
                          ids=["detection_sim", "monitor_scan_counts"])
-def test_telescope_runs_hold_one_draw_at_a_time(sampler):
+def test_telescope_runs_hold_one_draw_at_a_time(sampler, traced_peak):
     # Each run's draw goes before the next run draws its own, so three runs
     # peak at one float per host, as one run does.
     params = _undefended(10**6)
-    tracemalloc.start()
-    try:
-        sampler(params, 1000, StochasticConfig(t_end_itu=2.0, seed=0, runs=3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(sampler, params, 1000, StochasticConfig(t_end_itu=2.0, seed=0, runs=3))
     assert peak < 1.2 * 8 * params.n_hosts
 
 
@@ -556,7 +541,7 @@ _EVENT_LOOP_CASES = [
         StochasticConfig(t_end_itu=0.05, seed=1),
         lambda r, params: len(r[0]) == 2,
     ),
-    (  # more than 8192 events: crosses a boundary of _block's 16384-uniform chunks
+    (  # more than 8192 events: _block's fetches grow from 64 into full _DRAW_BLOCK ones
         "block-boundary",
         _patched(_P2P, 20000, 25, 2.0, 10),
         StochasticConfig(t_end_itu=30.0, seed=3),
@@ -624,12 +609,12 @@ def _lockstep(compiled, params, cfg):
     halt) and fill every grid row alike.  Returns the number of calls."""
     calls = []
 
-    def both(st, par, is_fixed, gen, grid, *rows):
+    def both(st, n, g, pb, is_fixed, gen, grid, *rows):
         for row in rows:
             row.fill(np.nan)  # a row left unfilled fails the comparison
         st_py, rows_py = st.copy(), [row.copy() for row in rows]
-        stochastic._block(st_py, par, is_fixed, stochastic._rng(cfg.seed), grid, *rows_py)
-        compiled(st, par, is_fixed, gen, grid, *rows)
+        stochastic._block(st_py, n, g, pb, is_fixed, stochastic._rng(cfg.seed), grid, *rows_py)
+        compiled(st, n, g, pb, is_fixed, gen, grid, *rows)
         assert st.tolist() == st_py.tolist()
         for row, row_py in zip(rows, rows_py):
             assert np.array_equal(row, row_py)
@@ -656,8 +641,8 @@ def test_patched_run_is_one_block_call(monkeypatch, loop):
     block = stochastic._block if loop == "python" else _compiled_block()
     calls = []
     monkeypatch.setattr(stochastic, "_patched_block",
-                        lambda: lambda *args: calls.append(args[3]) or block(*args))
-    params, cfg = _EVENT_LOOP_CASES[-1][1:3]  # past 8192 events, several Python chunks
+                        lambda: lambda *args: calls.append(args[5]) or block(*args))
+    params, cfg = _EVENT_LOOP_CASES[-1][1:3]  # past 8192 events, many Python fetches
     ensemble(params, dataclasses.replace(cfg, runs=3))
     assert len(calls) == 3 and len(set(map(id, calls))) == 3  # one call per run's generator
 
@@ -806,31 +791,26 @@ def test_first_load_removes_stale_builds(monkeypatch, tmp_path, fresh_loader):
     assert sorted(os.listdir(tmp_path)) == sorted([source.name, os.path.basename(current)])
 
 
-def test_patched_run_holds_no_draw_buffer():
+def test_patched_run_holds_no_draw_buffer(traced_peak):
     # The compiled block draws each uniform as it needs it, so a run holds
     # its output rows and little else.
     compiled = _compiled_block()
     scn = resolve_scenario(load_config("codered-fixed-desk"))
     grid = stochastic._grid(scn.stochastic)
     stochastic._run_patched(compiled, scn.params, stochastic._rng(0), grid)  # warm
-    tracemalloc.start()
-    try:
-        stochastic._run_patched(compiled, scn.params, stochastic._rng(0), grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(stochastic._run_patched, compiled, scn.params, stochastic._rng(0), grid)
     assert peak < 3 * len(grid) * 8 + 16384  # the rows, and 16 KB: an eighth of one chunk's array
 
 
 def test_python_block_holds_one_chunk_at_a_time(monkeypatch):
-    # _block reads its uniforms _DRAW_BLOCK at a time; a run that reads
-    # several chunks peaks near what one chunk alone costs, not twice it.
+    # _block's fetches grow to _DRAW_BLOCK uniforms; a run that reads
+    # several full ones peaks near what one alone costs, not twice it.
     params, cfg = _EVENT_LOOP_CASES[-1][1:3]  # past 8192 events
     grid = stochastic._grid(cfg)
     gen, run_gen = stochastic._rng(0), stochastic._rng(cfg.seed)
     tracemalloc.start()
     try:
-        next(stochastic._uniforms(gen))
+        gen.random(stochastic._DRAW_BLOCK).tolist()  # one full fetch, as _uniforms makes it
         chunk = tracemalloc.get_traced_memory()[1]
         read = _counting_uniforms(monkeypatch)
         tracemalloc.reset_peak()
@@ -839,8 +819,35 @@ def test_python_block_holds_one_chunk_at_a_time(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert read[0] > 2 * stochastic._DRAW_BLOCK  # the run spans three chunks or more
+    assert read[0] > 2 * stochastic._DRAW_BLOCK  # the run spans two full fetches or more
     assert peak < 1.5 * chunk
+
+
+@pytest.mark.parametrize(
+    "params,cfg",
+    [pytest.param(*_EVENT_LOOP_CASES[4][1:3], id="one-point-grid"),
+     pytest.param(*_EVENT_LOOP_CASES[0][1:3], id="fixed-absorbed"),
+     pytest.param(_patched(_P2P, 100, 3, 2.0, 5), StochasticConfig(t_end_itu=8.0, seed=2),
+                  id="p2p-100"),
+     pytest.param(*_EVENT_LOOP_CASES[-1][1:3], id="block-boundary")],
+)
+def test_python_run_fetches_only_the_uniforms_it_reads(monkeypatch, params, cfg):
+    # _block fetches 64 uniforms, then twice as many each time up to
+    # _DRAW_BLOCK, and only when it has read every one fetched before; so
+    # a run leaves its generator just past the first total that covers
+    # the two uniforms of each of its passes.
+    grid = stochastic._grid(cfg)
+    with monkeypatch.context() as m:
+        read = _counting_uniforms(m)
+        stochastic._run_patched(stochastic._block, params, stochastic._rng(cfg.seed), grid)
+    assert read[0] % 2 == 0  # two a pass
+    fetched, size = 0, 64
+    while fetched < read[0]:
+        fetched += size
+        size = min(2 * size, stochastic._DRAW_BLOCK)
+    gen = stochastic._rng(cfg.seed)
+    stochastic._run_patched(stochastic._block, params, gen, grid)
+    assert gen.random() == stochastic._rng(cfg.seed).random(fetched + 1)[-1]
 
 
 def _ref_infection_jumps(params, gen):
